@@ -2,10 +2,35 @@
 
 Format: one edge per line, two whitespace separated decimal vertex ids.
 Lines whose first non-blank character is '#' are comments, blank lines are
-skipped.  Vertex ids are non-negative integers and need not be contiguous.
+skipped.  Vertex ids are non-negative integers that fit in a signed 64-bit
+integer and need not be contiguous.  Lines end at '\\n'; files are read as
+bytes, and a non-ASCII byte is never part of an id.
+
+Every reader parses a file a block of whole lines at a time.  A block made
+only of digits, blanks and newlines, in which every non-blank line holds
+two ids of at most 18 digits and no self-loop, is parsed by numpy in one
+call.  Any other block goes through `parse_edge_line` one line at a time,
+which defines the format and every error message.
 """
 
+import numpy as np
+
 from .graph import canonical_edge, GraphError
+
+_INT64_MAX = 2**63 - 1
+
+# bytes read per block, extended to the end of the line it stops in
+_BLOCK_BYTES = 1 << 18
+
+# longest id the numpy path parses; every 18-digit number fits in int64
+_FAST_DIGITS = 18
+
+# byte classes of the numpy path; any byte not listed is _OTHER
+_OTHER, _DIGIT, _BLANK, _NEWLINE = 0, 1, 2, 3
+_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
+_BYTE_CLASS[ord("0"):ord("9") + 1] = _DIGIT
+_BYTE_CLASS[[ord(" "), ord("\t"), ord("\r")]] = _BLANK
+_BYTE_CLASS[ord("\n")] = _NEWLINE
 
 
 class EdgeListParseError(ValueError):
@@ -32,31 +57,178 @@ def parse_edge_line(line, lineno=None):
     except ValueError:
         raise EdgeListParseError("vertex ids must be decimal integers: %r" % s, lineno)
     try:
-        return canonical_edge(u, v)
+        e = canonical_edge(u, v)
     except GraphError as exc:
         raise EdgeListParseError(str(exc), lineno)
+    if e[1] > _INT64_MAX:
+        raise EdgeListParseError(
+            "vertex id %d does not fit in a signed 64-bit integer" % e[1], lineno)
+    return e
+
+
+def _parse_fast(buf):
+    """Edges of a block parsed by numpy, or None when the block needs the
+    line parser.  Returns (U, V, line, start): the canonical endpoints of
+    each edge, the index of its line in the block and that line's offset."""
+    cls = _BYTE_CLASS[np.frombuffer(buf, dtype=np.uint8)]
+    if not cls.all():  # some byte is _OTHER
+        return None
+    step = np.diff((cls == _DIGIT).view(np.int8), prepend=0, append=0)
+    first = np.flatnonzero(step == 1)
+    if (np.flatnonzero(step == -1) - first).max(initial=0) > _FAST_DIGITS:
+        return None
+    newlines = np.flatnonzero(cls == _NEWLINE)
+    tok_line = np.searchsorted(newlines, first)
+    tokens = np.bincount(tok_line, minlength=newlines.size + 1)
+    if ((tokens != 0) & (tokens != 2)).any():
+        return None
+    if not first.size:
+        # fromstring reads a blank-only buffer as [0]
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty, empty
+    ids = np.fromstring(buf, dtype=np.int64, sep=" ")
+    U, V = ids[0::2], ids[1::2]
+    if ids.size != first.size or (U == V).any():
+        return None
+    line = tok_line[0::2]
+    start = np.concatenate(([0], newlines + 1))[line]
+    return np.minimum(U, V), np.maximum(U, V), line, start
+
+
+def _parse_lines(buf, lineno):
+    """Parse a block with `parse_edge_line`, its first line numbered
+    `lineno`.  Returns the edges before the first bad line in the layout
+    of `_parse_fast`, and that line's error or None."""
+    us, vs, lines, starts = [], [], [], []
+    err = None
+    pos = 0
+    for i, raw in enumerate(buf.split(b"\n")):
+        try:
+            e = parse_edge_line(raw.decode("ascii", errors="replace"), lineno + i)
+        except EdgeListParseError as exc:
+            err = exc
+            break
+        if e is not None:
+            us.append(e[0])
+            vs.append(e[1])
+            lines.append(i)
+            starts.append(pos)
+        pos += len(raw) + 1
+    arrays = tuple(np.array(a, dtype=np.int64) for a in (us, vs, lines, starts))
+    return arrays, err
+
+
+def _parse_block(buf, lineno):
+    """The one parser of edge list text: `buf` holds whole lines, the first
+    numbered `lineno`.  Returns ((U, V, line, start), error or None)."""
+    parsed = _parse_fast(buf)
+    if parsed is not None:
+        return parsed, None
+    return _parse_lines(buf, lineno)
+
+
+def parse_edge_block(buf):
+    """Canonical int64 endpoint arrays (U, V) of the edges in `buf`, a
+    bytes object of whole edge list lines; a bad line raises."""
+    (U, V, _, _), err = _parse_block(buf, 1)
+    if err is not None:
+        raise err
+    return U, V
+
+
+def _line_blocks(f):
+    """Yield (buf, lineno, offset) over a binary file: runs of whole lines
+    of about _BLOCK_BYTES, the number of their first line and their byte
+    offset.  The last block may lack a final newline."""
+    lineno = 1
+    offset = 0
+    parts = []
+    while True:
+        data = f.read(_BLOCK_BYTES)
+        if not data:
+            buf = b"".join(parts)
+            if buf:
+                yield buf, lineno, offset
+            return
+        cut = data.rfind(b"\n") + 1
+        if not cut:
+            parts.append(data)
+            continue
+        parts.append(data[:cut])
+        buf = b"".join(parts)
+        yield buf, lineno, offset
+        lineno += buf.count(b"\n")
+        offset += len(buf)
+        parts = [data[cut:]]
+
+
+def iter_edge_blocks(path):
+    """Yield (U, V, lineno, offset) array tuples over an edge list file, in
+    file order: each edge's canonical int64 endpoints, the number of its
+    line and the byte offset where that line starts.  Blocks hold at most
+    a few hundred KiB of text.  A bad line raises EdgeListParseError after
+    every edge above it has been yielded."""
+    with open(path, "rb") as f:
+        for buf, lineno, offset in _line_blocks(f):
+            (U, V, line, start), err = _parse_block(buf, lineno)
+            if U.size:
+                yield U, V, line + lineno, start + offset
+            if err is not None:
+                raise err
 
 
 def iter_edge_file(path):
     """Yield (edge, lineno) pairs from an edge list file, skipping
     comments and blanks."""
-    with open(path, "r") as f:
-        for lineno, line in enumerate(f, start=1):
-            e = parse_edge_line(line, lineno)
-            if e is not None:
-                yield e, lineno
+    for U, V, lineno, _ in iter_edge_blocks(path):
+        yield from zip(zip(U.tolist(), V.tolist()), lineno.tolist())
+
+
+def _first_repeat(U, V):
+    """Index of the first edge (U[i], V[i]) equal to an earlier one, or
+    None when all are distinct."""
+    if U.size < 2:
+        return None
+    order = np.lexsort((V, U))  # stable: equal edges stay in input order
+    same = U[order[1:]] == U[order[:-1]]
+    same &= V[order[1:]] == V[order[:-1]]
+    if not same.any():
+        return None
+    return int(order[1:][same].min())
+
+
+def _distinct_edges(blocks):
+    """Concatenate (U, V, lineno, offset) block arrays, emptying `blocks`;
+    a repeated edge raises with the line of its first repeat.  Returns
+    (U, V, offset)."""
+    U, V, lineno, offset = (np.concatenate([b[k] for b in blocks]) if blocks
+                            else np.empty(0, dtype=np.int64) for k in range(4))
+    blocks.clear()
+    i = _first_repeat(U, V)
+    if i is not None:
+        raise EdgeListParseError("duplicate edge (%d, %d)" % (U[i], V[i]), int(lineno[i]))
+    return U, V, offset
+
+
+def read_edge_arrays(path):
+    """Parse and validate a whole edge list file.  Returns (U, V, offset):
+    int64 arrays of the canonical endpoints of every edge in file order
+    and the byte offset of its line.  A malformed line or a repeated edge
+    raises EdgeListParseError naming the first offending line."""
+    blocks = []
+    try:
+        for block in iter_edge_blocks(path):
+            blocks.append(block)
+    except EdgeListParseError:
+        _distinct_edges(blocks)  # a repeat above the bad line is reported first
+        raise
+    return _distinct_edges(blocks)
 
 
 def read_edge_list(path):
     """Read a whole file into a list of canonical edges, rejecting duplicates."""
-    edges = []
-    seen = set()
-    for e, lineno in iter_edge_file(path):
-        if e in seen:
-            raise EdgeListParseError("duplicate edge (%d, %d)" % e, lineno)
-        seen.add(e)
-        edges.append(e)
-    return edges
+    U, V, _ = read_edge_arrays(path)
+    return list(zip(U.tolist(), V.tolist()))
 
 
 def write_edge_list(path, edges, comment=None):

@@ -6,10 +6,12 @@ same order.  The order is either the source order or a random permutation
 drawn once at construction from a seed, never redrawn between passes.
 
 Streams over files do not load the edge list into memory during passes;
-they read through a bounded buffer (TRICOUNT_STREAM_BUFFER edges, default
-65536).  Opening a stream runs one validation scan that temporarily keeps
-a set of seen edges to reject duplicates; pass `validate=False` to skip it
-for trusted inputs.
+they parse the file a block of lines at a time and yield chunks of
+TRICOUNT_STREAM_BUFFER edges (default 65536).  Opening a file stream always
+scans the whole file once, because the scan gives m and the line offsets
+that random-order passes seek to: it rejects malformed lines, and finds
+repeated edges with one sort of the endpoint arrays.  `validate=False`
+skips the duplicate check of in-memory sources only.
 
 Randomness is split by purpose.  The permutation, the sampling coins and
 the per-trial substreams are derived from (seed, tag) so that reusing one
@@ -23,7 +25,7 @@ import threading
 import numpy as np
 
 from .graph import AdjacencyGraph, GraphError, DuplicateEdgeError
-from .edgelist import parse_edge_line, EdgeListParseError
+from .edgelist import iter_edge_blocks, parse_edge_block, read_edge_arrays
 
 
 class Order:
@@ -119,6 +121,10 @@ class _MemorySource:
         return n, max_id
 
 
+# lines read and parsed together by a random-order file pass
+_TAKE_LINES = 4096
+
+
 class _FileSource:
     """Edges read from an edge list file; passes re-read the file."""
 
@@ -131,65 +137,53 @@ class _FileSource:
         self._offsets = None
 
     def scan(self):
-        offsets = []
-        seen = set()
-        verts = set()
-        pos = 0
-        with open(self.path, "rb") as f:
-            lineno = 0
-            while True:
-                raw = f.readline()
-                if not raw:
-                    break
-                lineno += 1
-                e = parse_edge_line(raw.decode("ascii", errors="replace"), lineno)
-                if e is not None:
-                    if e in seen:
-                        raise EdgeListParseError("duplicate edge (%d, %d)" % e, lineno)
-                    seen.add(e)
-                    verts.add(e[0])
-                    verts.add(e[1])
-                    offsets.append(pos)
-                pos += len(raw)
-        self.m = len(offsets)
-        self._offsets = np.array(offsets, dtype=np.int64)
-        n = len(verts)
-        max_id = max(verts) if verts else None
-        return n, max_id
+        U, V, self._offsets = read_edge_arrays(self.path)
+        self.m = int(U.size)
+        verts = np.unique(np.concatenate((U, V)))
+        return int(verts.size), (int(verts[-1]) if verts.size else None)
 
     def _require_offsets(self):
         if self._offsets is None:
             self.scan()
 
     def iter_chunks(self, chunk_size):
-        bu = []
-        bv = []
-        with open(self.path, "r") as f:
-            for line in f:
-                e = parse_edge_line(line)
-                if e is None:
-                    continue
-                bu.append(e[0])
-                bv.append(e[1])
-                if len(bu) >= chunk_size:
-                    yield np.array(bu, dtype=np.int64), np.array(bv, dtype=np.int64)
-                    bu = []
-                    bv = []
-        if bu:
-            yield np.array(bu, dtype=np.int64), np.array(bv, dtype=np.int64)
+        return _rechunk(((U, V) for U, V, _, _ in iter_edge_blocks(self.path)),
+                        chunk_size)
 
     def take(self, idx):
         self._require_offsets()
-        off = self._offsets
-        bu = np.empty(len(idx), dtype=np.int64)
-        bv = np.empty(len(idx), dtype=np.int64)
+        off = self._offsets[idx]
+        bu = np.empty(off.size, dtype=np.int64)
+        bv = np.empty(off.size, dtype=np.int64)
         with open(self.path, "rb") as f:
-            for k, i in enumerate(idx):
-                f.seek(off[i])
-                e = parse_edge_line(f.readline().decode("ascii", errors="replace"))
-                bu[k] = e[0]
-                bv[k] = e[1]
+            for s in range(0, off.size, _TAKE_LINES):
+                lines = []
+                for o in off[s:s + _TAKE_LINES].tolist():
+                    f.seek(o)
+                    lines.append(f.readline())
+                # the file's last line may lack its newline; blank lines are skipped
+                k = len(lines)
+                bu[s:s + k], bv[s:s + k] = parse_edge_block(b"\n".join(lines))
         return bu, bv
+
+
+def _rechunk(pairs, chunk_size):
+    """Regroup a sequence of (U, V) array pairs into pairs of exactly
+    `chunk_size` edges, the last one possibly shorter."""
+    us, vs, have = [], [], 0
+    for U, V in pairs:
+        i = 0
+        while i < U.size:
+            k = min(chunk_size - have, U.size - i)
+            us.append(U[i:i + k])
+            vs.append(V[i:i + k])
+            have += k
+            i += k
+            if have == chunk_size:
+                yield np.concatenate(us), np.concatenate(vs)
+                us, vs, have = [], [], 0
+    if have:
+        yield np.concatenate(us), np.concatenate(vs)
 
 
 class _ExpanderSource:
@@ -282,7 +276,9 @@ def open_stream(source, order=Order.AS_GIVEN, seed=0, validate=True):
 
     Validation scans the whole input once: malformed lines and duplicate
     edges are errors.  The scan also records the vertex count and the
-    largest id, which the estimators use for parameter selection.
+    largest id, which the estimators use for parameter selection.  A file
+    is always scanned, since its passes need m and the line offsets;
+    `validate=False` skips the scan of in-memory sources only.
     """
     if isinstance(source, (str, os.PathLike)):
         src = _FileSource(source)
