@@ -15,7 +15,8 @@ from .graph import (AdjacencyGraph, TriangleStats, EdgePartition, GraphError,
 from .edgelist import (EdgeListParseError, read_edge_list, write_edge_list,
                        iter_edge_file)
 from .stream import (Order, EdgeStream, SampledGraph, SpaceMeter, open_stream,
-                     sample_pass, order_rng, sampler_rng, trial_rng)
+                     sample_pass, order_rng, sampler_rng, trial_rng,
+                     SourceChangedError)
 from .estimators import (Algorithm, EstimatorParams, EstimateReport,
                          choose_p_alg1, choose_p_alg2, choose_repetitions,
                          alg1_two_pass, alg1_one_pass_random, alg2_single_trial,
@@ -30,7 +31,7 @@ __all__ = [
     "triangle_stats", "classify_edges", "count_new_triangles",
     "EdgeListParseError", "read_edge_list", "write_edge_list", "iter_edge_file",
     "Order", "EdgeStream", "SampledGraph", "SpaceMeter", "open_stream",
-    "sample_pass", "order_rng", "sampler_rng", "trial_rng",
+    "sample_pass", "order_rng", "sampler_rng", "trial_rng", "SourceChangedError",
     "Algorithm", "EstimatorParams", "EstimateReport",
     "choose_p_alg1", "choose_p_alg2", "choose_repetitions",
     "alg1_two_pass", "alg1_one_pass_random", "alg2_single_trial",

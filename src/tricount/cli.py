@@ -17,7 +17,8 @@ import time
 
 import numpy as np
 
-from .edgelist import EdgeListParseError, read_edge_list, write_edge_list
+from .edgelist import (EdgeListParseError, read_edge_arrays, read_edge_list,
+                       write_edge_list)
 from .graph import (AdjacencyGraph, DuplicateEdgeError, GraphError,
                     count_triangles_exact, triangle_stats, _dense_eligible)
 from .stream import Order, open_stream, order_rng, bench_seed
@@ -124,8 +125,10 @@ def _cmd_gen(args):
 # exact
 
 def _cmd_exact(args):
+    U, V, _ = read_edge_arrays(args.input)
     g = AdjacencyGraph()
-    g._bulk_add_unchecked(read_edge_list(args.input))
+    g._bulk_add_unchecked(zip(U.tolist(), V.tolist()))
+    del U, V  # the count below sets the peak memory; free the arrays first
     if args.stats:
         st = triangle_stats(g)
         print('{"n": %d, "m": %d, "t": %d, "J": %d, "K": %d}'
@@ -182,7 +185,8 @@ def _cmd_estimate(args):
     else:
         l = None
     if alg == Algorithm.ALG1_TWO_PASS:
-        rep = alg1_two_pass(stream, p, args.seed, epsilon=args.epsilon, T=args.T)
+        rep = alg1_two_pass(stream, p, args.seed, epsilon=args.epsilon, T=args.T,
+                            engine=args.engine)
     elif alg == Algorithm.ALG1_ONE_PASS_RANDOM:
         rep = alg1_one_pass_random(stream, p, args.seed, epsilon=args.epsilon, T=args.T)
     elif alg == Algorithm.ALG2_TWO_PASS:
@@ -301,7 +305,8 @@ def _cmd_bench(args):
             else:
                 stream = base_stream
             if alg == Algorithm.ALG1_TWO_PASS:
-                rep = alg1_two_pass(stream, p, seed, epsilon=eps, T=args.T)
+                rep = alg1_two_pass(stream, p, seed, epsilon=eps, T=args.T,
+                                    engine=args.engine)
             elif alg == Algorithm.ALG1_ONE_PASS_RANDOM:
                 rep = alg1_one_pass_random(stream, p, seed, epsilon=eps, T=args.T)
             elif alg == Algorithm.ALG2_TWO_PASS:
@@ -351,7 +356,8 @@ def _add_estimator_flags(sp):
     sp.add_argument("--workers", type=int, default=1,
                     help="threads for alg2 repetitions (result is identical)")
     sp.add_argument("--engine", choices=["auto", "dense", "sets"], default="auto",
-                    help="alg2 counting engine")
+                    help="counting engine of the two-pass algorithms alg1 and "
+                         "alg2 (result is identical)")
 
 
 def build_parser():
@@ -409,7 +415,8 @@ def build_parser():
     b.add_argument("--seed", type=int, default=0, help="master seed for row seeds")
     b.add_argument("--c1", type=float, default=1.0)
     b.add_argument("--workers", type=int, default=1)
-    b.add_argument("--engine", choices=["auto", "dense", "sets"], default="auto")
+    b.add_argument("--engine", choices=["auto", "dense", "sets"], default="auto",
+                   help="counting engine of alg1 and alg2 (result is identical)")
     b.add_argument("--out", default=None, help="CSV path (default stdout)")
     b.add_argument("--oracle-budget", type=float, default=60.0,
                    help="refuse inputs whose exact count would exceed this "

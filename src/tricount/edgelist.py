@@ -1,6 +1,7 @@
 """Plain text edge lists.
 
-Format: one edge per line, two whitespace separated decimal vertex ids.
+Format: one edge per line, two whitespace separated decimal vertex ids,
+each an optional sign followed by ASCII digits.
 Lines whose first non-blank character is '#' are comments, blank lines are
 skipped.  Vertex ids are non-negative integers that fit in a signed 64-bit
 integer and need not be contiguous.  Lines end at '\\n'; files are read as
@@ -13,11 +14,17 @@ call.  Any other block goes through `parse_edge_line` one line at a time,
 which defines the format and every error message.
 """
 
+import re
+
 import numpy as np
 
 from .graph import canonical_edge, GraphError
 
 _INT64_MAX = 2**63 - 1
+
+# an id token: an optional sign and ASCII digits (int() also takes '_' and
+# non-ASCII digits)
+_ID_TOKEN = re.compile(r"[+-]?[0-9]+\Z")
 
 # bytes read per block, extended to the end of the line it stops in
 _BLOCK_BYTES = 1 << 18
@@ -51,11 +58,10 @@ def parse_edge_line(line, lineno=None):
     if len(parts) != 2:
         raise EdgeListParseError(
             "expected two vertex ids, got %d tokens" % len(parts), lineno)
-    try:
-        u = int(parts[0])
-        v = int(parts[1])
-    except ValueError:
+    if not (_ID_TOKEN.match(parts[0]) and _ID_TOKEN.match(parts[1])):
         raise EdgeListParseError("vertex ids must be decimal integers: %r" % s, lineno)
+    u = int(parts[0])
+    v = int(parts[1])
     try:
         e = canonical_edge(u, v)
     except GraphError as exc:

@@ -27,6 +27,10 @@ probability p):
   detected exactly when its first two edges in stream order were both
   kept, probability p^2, so each repetition reports r / p^2.
 
+alg1 and every alg2 repetition run one two-pass core, `_two_pass_counts`,
+on one of two engines that give the same integers: neighbour sets, or a
+float32 adjacency matrix squared by the exact oracle's BLAS kernel.
+
 Repetition seeds derive from (master_seed, repetition_index); running
 repetitions in parallel or serially gives identical reports.
 """
@@ -37,7 +41,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .graph import AdjacencyGraph, count_triangles_exact
+from .graph import (AdjacencyGraph, count_triangles_exact, _dense_kernel,
+                    _DENSE_MAX_N)
 from .stream import (Order, SpaceMeter, sample_pass, sampler_rng, trial_rng,
                      check_probability)
 
@@ -157,13 +162,11 @@ def choose_repetitions(epsilon):
 # ---------------------------------------------------------------------------
 # shared inner loops, also driven exhaustively by the test oracles
 
-def _closures_missing(adj, us, vs, keeps):
-    """Pass-2 counting: for every unkept edge, triangles it closes in adj."""
+def _closures(adj, pairs):
+    """Pass-2 counting: the triangles the edges `pairs` close in adj."""
     s = 0
     get = adj.get
-    for u, v, k in zip(us, vs, keeps):
-        if k:
-            continue
+    for u, v in pairs:
         nu = get(u)
         if not nu:
             continue
@@ -227,18 +230,15 @@ def _build_sample(edges, keep):
 def alg1_pass2_count(edges, keep):
     """Two-pass counter s for an explicit edge list and keep mask."""
     g = _build_sample(edges, keep)
-    us = [e[0] for e in edges]
-    vs = [e[1] for e in edges]
-    return _closures_missing(g.adj, us, vs, keep)
+    return _closures(g.adj, (e for e, k in zip(edges, keep) if not k))
 
 
 def alg2_detected_count(edges, keep):
     """Repetition count r: triangles inside the sample plus triangles whose
     third edge streams by unkept."""
     g = _build_sample(edges, keep)
-    us = [e[0] for e in edges]
-    vs = [e[1] for e in edges]
-    return count_triangles_exact(g) + _closures_missing(g.adj, us, vs, keep)
+    dropped = (e for e, k in zip(edges, keep) if not k)
+    return count_triangles_exact(g) + _closures(g.adj, dropped)
 
 
 def alg1_one_pass_count(edges_in_order, keep):
@@ -258,9 +258,8 @@ def alg2_one_pass_count(edges_in_order, keep):
 
 
 # ---------------------------------------------------------------------------
-# engines for one alg2 repetition
+# the two-pass core of alg1 and alg2, on one of two engines
 
-_DENSE_MAX_N = 2048
 _DENSE_FORCE_MAX_N = 8192
 
 
@@ -281,52 +280,45 @@ def _pick_engine(engine, stream, p):
     return "sets"
 
 
-def _alg2_trial_sets(stream, p, make_rng, meter):
-    sg = sample_pass(stream, p, make_rng(), meter)
-    t_in = count_triangles_exact(sg.graph)
+def _two_pass_counts(stream, p, make_rng, meter, engine, census):
+    """Pass 1 keeps each edge with probability p; pass 2 redraws the same
+    coins (one uniform per edge in stream order) from a fresh make_rng()
+    and sums, over the edges not kept, the triangles each closes against
+    the sample.  Returns (t_in, s): the sample's own triangle count (None
+    unless `census`) and that sum.  The "dense" engine reads each closure
+    count off A @ A for the sample's float32 adjacency matrix A; its sums
+    are exact, so both engines return the same integers.
+    """
+    if engine == "dense":
+        nmax = stream.max_vertex_id + 1
+        A = np.zeros((nmax, nmax), dtype=np.float32)
+        rng1 = make_rng()
+        kept = 0
+        for U, V in stream.iter_chunks():
+            keep = rng1.random(U.size) < p
+            ku, kv = U[keep], V[keep]
+            A[ku, kv] = 1.0
+            A[kv, ku] = 1.0
+            kept += ku.size
+        if meter is not None:
+            meter.add(kept)
+        common, t_in = _dense_kernel(A, census)
+
+        def closes(U, V):
+            return int(common[U, V].sum(dtype=np.float64))
+    else:
+        sample = sample_pass(stream, p, make_rng(), meter).graph
+        t_in = count_triangles_exact(sample) if census else None
+        adj = sample.adj
+
+        def closes(U, V):
+            return _closures(adj, zip(U.tolist(), V.tolist()))
     rng2 = make_rng()
-    adj = sg.graph.adj
     s = 0
     for U, V in stream.iter_chunks():
-        keep = rng2.random(U.size) < p
-        s += _closures_missing(adj, U.tolist(), V.tolist(), keep.tolist())
-    return t_in + s
-
-
-def _alg2_trial_dense(stream, p, make_rng, meter):
-    """Same counts as the sets engine, via a float32 adjacency matrix.
-
-    The coin sequence is identical (one uniform per edge in stream order),
-    so both engines return the same integer r for the same seed.  Matrix
-    entries stay far below 2^24, making the float32 products exact.
-    """
-    nmax = stream.max_vertex_id + 1
-    A = np.zeros((nmax, nmax), dtype=np.float32)
-    rng1 = make_rng()
-    kept = 0
-    for U, V in stream.iter_chunks():
-        keep = rng1.random(U.size) < p
-        ku = U[keep]
-        kv = V[keep]
-        A[ku, kv] = 1.0
-        A[kv, ku] = 1.0
-        kept += int(keep.sum())
-    if meter is not None:
-        meter.add(kept)
-    AA = A @ A
-    t_in = int(round(float((AA * A).sum(dtype=np.float64)))) // 6
-    rng2 = make_rng()
-    s = 0.0
-    for U, V in stream.iter_chunks():
         drop = rng2.random(U.size) >= p
-        s += float(AA[U[drop], V[drop]].sum(dtype=np.float64))
-    return t_in + int(round(s))
-
-
-def _alg2_trial(stream, p, make_rng, meter, engine):
-    if engine == "dense":
-        return _alg2_trial_dense(stream, p, make_rng, meter)
-    return _alg2_trial_sets(stream, p, make_rng, meter)
+        s += closes(U[drop], V[drop])
+    return t_in, s
 
 
 # ---------------------------------------------------------------------------
@@ -338,18 +330,15 @@ def _require_random_order(stream, algorithm):
                          "open it with order='random'" % algorithm)
 
 
-def alg1_two_pass(stream, p, seed, epsilon=None, T=None, meter=None):
+def alg1_two_pass(stream, p, seed, epsilon=None, T=None, meter=None,
+                  engine="auto"):
     """Unbiased two-pass estimate of the triangle count of the stream."""
     p = check_probability(p, allow_one=False)
+    engine = _pick_engine(engine, stream, p)
     if meter is None:
         meter = SpaceMeter()
-    sg = sample_pass(stream, p, sampler_rng(seed), meter)
-    rng2 = sampler_rng(seed)
-    adj = sg.graph.adj
-    s = 0
-    for U, V in stream.iter_chunks():
-        keep = rng2.random(U.size) < p
-        s += _closures_missing(adj, U.tolist(), V.tolist(), keep.tolist())
+    _, s = _two_pass_counts(stream, p, lambda: sampler_rng(seed), meter, engine,
+                            census=False)
     estimate = s / (3.0 * p * p * (1.0 - p))
     params = EstimatorParams(p, epsilon, T, None, seed)
     return EstimateReport(Algorithm.ALG1_TWO_PASS, estimate, params,
@@ -379,8 +368,9 @@ def alg2_single_trial(stream, p, seed, meter=None, engine="auto"):
     """One alg2 repetition; returns r / (3p^2(1-p) + p^3)."""
     p = check_probability(p)
     engine = _pick_engine(engine, stream, p)
-    r = _alg2_trial(stream, p, lambda: sampler_rng(seed), meter, engine)
-    return r / (3.0 * p * p * (1.0 - p) + p ** 3)
+    t_in, s = _two_pass_counts(stream, p, lambda: sampler_rng(seed), meter, engine,
+                               census=True)
+    return (t_in + s) / (3.0 * p * p * (1.0 - p) + p ** 3)
 
 
 def _run_trials(l, workers, run_one):
@@ -411,8 +401,9 @@ def alg2_two_pass(stream, p, l, master_seed, epsilon=None, T=None, meter=None,
     denom = 3.0 * p * p * (1.0 - p) + p ** 3
 
     def run_one(i):
-        r = _alg2_trial(stream, p, lambda: trial_rng(master_seed, i), meter, eng)
-        return r / denom
+        t_in, s = _two_pass_counts(stream, p, lambda: trial_rng(master_seed, i),
+                                   meter, eng, census=True)
+        return (t_in + s) / denom
 
     vals = _run_trials(l, workers, run_one)
     params = EstimatorParams(p, epsilon, T, int(l), master_seed)

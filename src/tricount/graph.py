@@ -19,8 +19,8 @@ class DuplicateEdgeError(GraphError):
     pass
 
 
-# dense counting kicks in when the adjacency matrix is small enough to
-# build and the graph is dense enough that BLAS beats set intersections
+# dense counting (here and in the estimators' auto engine) needs an
+# adjacency matrix this small, and here a graph this dense
 _DENSE_MAX_N = 2048
 _DENSE_MIN_FILL = 1.0 / 32.0
 
@@ -192,16 +192,23 @@ def _dense_eligible(g):
     return g.edge_count >= _DENSE_MIN_FILL * nmax * nmax
 
 
+def _dense_kernel(a, census=True):
+    """Common neighbour counts of a symmetric 0/1 float32 adjacency matrix
+    `a`, and its triangle count when `census` is true (else None).  `a @ a.T`
+    equals `a @ a` and runs as BLAS syrk; entries are at most n < 2^24, so
+    exact in float32, and the census sums in float64."""
+    aa = a @ a.T
+    if not census:
+        return aa, None
+    return aa, int(round(float((aa * a).sum(dtype=np.float64)))) // 6
+
+
 def _dense_triangle_count(g):
     nmax = max(g.adj) + 1
     a = np.zeros((nmax, nmax), dtype=np.float32)
     for u, nbrs in g.adj.items():
-        for v in nbrs:
-            a[u, v] = 1.0
-    # entries of a@a are at most nmax < 2^24, exact in float32
-    aa = a @ a
-    total = float((aa * a).sum(dtype=np.float64))
-    return int(round(total)) // 6
+        a[u, list(nbrs)] = 1.0
+    return _dense_kernel(a)[1]
 
 
 def count_triangles_exact(g):

@@ -11,7 +11,10 @@ TRICOUNT_STREAM_BUFFER edges (default 65536).  Opening a file stream always
 scans the whole file once, because the scan gives m and the line offsets
 that random-order passes seek to: it rejects malformed lines, and finds
 repeated edges with one sort of the endpoint arrays.  `validate=False`
-skips the duplicate check of in-memory sources only.
+skips the duplicate check of in-memory sources only.  The scan also
+records the file's size and modification time; a pass over a file whose
+size or time has changed since, or an as-given pass that does not yield m
+edges, raises SourceChangedError.
 
 Randomness is split by purpose.  The permutation, the sampling coins and
 the per-trial substreams are derived from (seed, tag) so that reusing one
@@ -26,6 +29,10 @@ import numpy as np
 
 from .graph import AdjacencyGraph, GraphError, DuplicateEdgeError
 from .edgelist import iter_edge_blocks, parse_edge_block, read_edge_arrays
+
+
+class SourceChangedError(OSError):
+    """The edge list file behind a stream changed after it was opened."""
 
 
 class Order:
@@ -135,8 +142,18 @@ class _FileSource:
         self.path = str(path)
         self.m = None
         self._offsets = None
+        self._stamp = None
+
+    def _stat(self):
+        st = os.stat(self.path)
+        return st.st_size, st.st_mtime_ns
+
+    def _changed(self):
+        return SourceChangedError("edge list file %s changed after the stream "
+                                  "was opened; open it again" % self.path)
 
     def scan(self):
+        self._stamp = self._stat()
         U, V, self._offsets = read_edge_arrays(self.path)
         self.m = int(U.size)
         verts = np.unique(np.concatenate((U, V)))
@@ -147,11 +164,20 @@ class _FileSource:
             self.scan()
 
     def iter_chunks(self, chunk_size):
-        return _rechunk(((U, V) for U, V, _, _ in iter_edge_blocks(self.path)),
-                        chunk_size)
+        if self._stat() != self._stamp:
+            raise self._changed()
+        edges = 0
+        for U, V in _rechunk(((U, V) for U, V, _, _ in iter_edge_blocks(self.path)),
+                             chunk_size):
+            edges += U.size
+            yield U, V
+        if edges != self.m:
+            raise self._changed()
 
     def take(self, idx):
         self._require_offsets()
+        if self._stat() != self._stamp:
+            raise self._changed()
         off = self._offsets[idx]
         bu = np.empty(off.size, dtype=np.int64)
         bv = np.empty(off.size, dtype=np.int64)

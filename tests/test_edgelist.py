@@ -171,6 +171,8 @@ def test_reference_outcomes():
         "ok", [((7, 10), 1), ((1, 2), 2), ((3, 4), 3)])
     assert outcome(reference_read, CASES["int64 max"]) == (
         "ok", [((0, 2**63 - 1), 1)])
+    assert outcome(reference_read, CASES["underscore"])[2:] == (
+        "line 1: vertex ids must be decimal integers: '1_0 2'", 1)
 
 
 @pytest.mark.parametrize("block", [1, 5, 16, 64])
@@ -192,6 +194,13 @@ def test_lines_straddle_blocks(tmp_path, monkeypatch, block):
 def test_id_overflow_exits_1(tmp_path):
     f = tmp_path / "big.el"
     f.write_bytes(b"0 99999999999999999999\n")
+    assert main(["exact", "--input", str(f)]) == 1
+    assert main(["estimate", "alg1", "--input", str(f), "--p", "0.5"]) == 1
+
+
+def test_non_decimal_id_exits_1(tmp_path):
+    f = tmp_path / "underscore.el"
+    f.write_bytes(b"0 1\n1_0 2\n")
     assert main(["exact", "--input", str(f)]) == 1
     assert main(["estimate", "alg1", "--input", str(f), "--p", "0.5"]) == 1
 

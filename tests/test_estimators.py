@@ -4,18 +4,21 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tricount import (open_stream, Order, SpaceMeter, gen_complete,
                       gen_planted, gen_tripartite, count_triangles_exact,
                       choose_p_alg1, choose_p_alg2, choose_repetitions,
                       alg1_two_pass, alg1_one_pass_random, alg2_single_trial,
-                      alg2_two_pass, alg2_one_pass_random, AdjacencyGraph)
+                      alg2_two_pass, alg2_one_pass_random, AdjacencyGraph,
+                      write_edge_list)
 from tricount.estimators import (alg1_pass2_count, alg2_detected_count,
                                  alg1_one_pass_count, alg2_one_pass_count,
-                                 _pick_engine)
+                                 _pick_engine, _DENSE_FORCE_MAX_N)
 from tricount.stream import sampler_rng, order_rng, trial_rng
 
 from conftest import path_graph
+import oracles
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +204,47 @@ def test_engines_agree_exactly():
             assert a.per_trial_estimates == b.per_trial_estimates
             assert a.estimate == b.estimate
             assert a.max_stored_edges == b.max_stored_edges
+
+
+def test_alg1_engines_agree_exactly(tmp_path):
+    for seed in range(4):
+        g = random_dense_graph(40, 0.4, seed)
+        f = tmp_path / ("g%d.el" % seed)
+        write_edge_list(f, g.edges())
+        for stream in (open_stream(g), open_stream(f)):
+            for p in (0.1, 0.3, 0.7):
+                a = alg1_two_pass(stream, p, seed, engine="dense")
+                b = alg1_two_pass(stream, p, seed, engine="sets")
+                assert a.estimate == b.estimate
+                assert a.max_stored_edges == b.max_stored_edges
+
+
+def test_alg1_dense_needs_small_vertex_range():
+    stream = open_stream([(0, 1), (1, _DENSE_FORCE_MAX_N)])
+    with pytest.raises(ValueError):
+        alg1_two_pass(stream, 0.5, 0, engine="dense")
+    assert alg1_two_pass(stream, 0.5, 0, engine="sets").estimate == 0.0
+
+
+small_graphs = st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11))
+                        .filter(lambda e: e[0] != e[1]),
+                        unique_by=lambda e: (min(e), max(e)), min_size=1, max_size=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs, st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 2**32))
+def test_alg1_engines_match_oracle(tmp_path_factory, edges, p, seed):
+    keep = sampler_rng(seed).random(len(edges)) < p
+    adj = oracles._adj_from_edges(e for e, k in zip(edges, keep) if k)
+    s = sum(len(adj.get(u, set()) & adj.get(v, set()))
+            for (u, v), k in zip(edges, keep) if not k)
+    f = tmp_path_factory.mktemp("alg1") / "g.el"
+    write_edge_list(f, edges)
+    for stream in (open_stream(edges), open_stream(f)):
+        for engine in ("dense", "sets"):
+            rep = alg1_two_pass(stream, p, seed, engine=engine)
+            assert rep.estimate == s / (3.0 * p * p * (1.0 - p))
+            assert rep.max_stored_edges == int(keep.sum())
 
 
 def test_parallel_equals_serial():

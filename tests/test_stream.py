@@ -1,4 +1,5 @@
 import math
+import os
 import threading
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 import scipy.stats
 
 from tricount import (open_stream, Order, SpaceMeter, sample_pass,
-                      order_rng, sampler_rng, trial_rng,
+                      order_rng, sampler_rng, trial_rng, SourceChangedError,
                       EdgeListParseError, DuplicateEdgeError, gen_complete)
+from tricount import cli
 from tricount.stream import check_seed, default_chunk_size
 
 
@@ -84,6 +86,50 @@ def test_open_stream_validation(tmp_path):
     f2.write_text("0 1\n1 1\n")
     with pytest.raises(EdgeListParseError):
         open_stream(f2)
+
+
+EDGES10 = [(i, i + 1) for i in range(10)]
+
+
+@pytest.mark.parametrize("order", Order.ALL)
+@pytest.mark.parametrize("edit", ["shrink", "append comment"])
+def test_pass_over_changed_file_fails(tmp_path, order, edit):
+    f = write_el(tmp_path, EDGES10)
+    s = open_stream(f, order=order, seed=1)
+    assert len(list(s.iter_edges())) == 10
+    if edit == "shrink":
+        write_el(tmp_path, EDGES10[:2])
+    else:
+        with open(f, "a") as out:
+            out.write("# edited\n")
+    with pytest.raises(SourceChangedError, match=str(f)):
+        list(s.iter_edges())
+
+
+def test_given_pass_checks_edge_count(tmp_path):
+    # same size and modification time, one edge fewer: only the count shows it
+    f = write_el(tmp_path, EDGES10)
+    st = os.stat(f)
+    s = open_stream(f)
+    f.write_text(f.read_text().replace("0 1\n", "#  \n"))
+    os.utime(f, ns=(st.st_atime_ns, st.st_mtime_ns))
+    assert os.stat(f).st_size == st.st_size
+    with pytest.raises(SourceChangedError):
+        list(s.iter_edges())
+
+
+@pytest.mark.parametrize("algorithm", ["alg1", "alg1-rand"])
+def test_cli_exits_1_when_file_changes(tmp_path, monkeypatch, capsys, algorithm):
+    f = write_el(tmp_path, EDGES10)
+
+    def open_then_shrink(*args, **kwargs):
+        s = open_stream(*args, **kwargs)
+        write_el(tmp_path, EDGES10[:2])
+        return s
+
+    monkeypatch.setattr(cli, "open_stream", open_then_shrink)
+    assert cli.main(["estimate", algorithm, "--input", str(f), "--p", "0.5"]) == 1
+    assert str(f) in capsys.readouterr().err
 
 
 def test_open_stream_sources():
