@@ -19,8 +19,8 @@ from .stream import (Order, EdgeStream, SampledGraph, SpaceMeter, open_stream,
                      SourceChangedError)
 from .estimators import (Algorithm, EstimatorParams, EstimateReport,
                          choose_p_alg1, choose_p_alg2, choose_repetitions,
-                         alg1_two_pass, alg1_one_pass_random, alg2_single_trial,
-                         alg2_two_pass, alg2_one_pass_random)
+                         alg1_two_pass, alg1_one_pass_random, alg2_two_pass,
+                         alg2_one_pass_random)
 from .generators import (GeneratorError, gen_planted, gen_complete,
                          gen_tripartite, blow_up, gen_disjointness,
                          gen_disjointness_random)
@@ -34,8 +34,8 @@ __all__ = [
     "sample_pass", "order_rng", "sampler_rng", "trial_rng", "SourceChangedError",
     "Algorithm", "EstimatorParams", "EstimateReport",
     "choose_p_alg1", "choose_p_alg2", "choose_repetitions",
-    "alg1_two_pass", "alg1_one_pass_random", "alg2_single_trial",
-    "alg2_two_pass", "alg2_one_pass_random",
+    "alg1_two_pass", "alg1_one_pass_random", "alg2_two_pass",
+    "alg2_one_pass_random",
     "GeneratorError", "gen_planted", "gen_complete", "gen_tripartite",
     "blow_up", "gen_disjointness", "gen_disjointness_random",
 ]

@@ -15,8 +15,6 @@ import argparse
 import sys
 import time
 
-import numpy as np
-
 from .edgelist import (EdgeListParseError, read_edge_arrays, read_edge_list,
                        write_edge_list)
 from .graph import (AdjacencyGraph, DuplicateEdgeError, GraphError,
@@ -172,6 +170,25 @@ def _resolve_p(args, n):
     return p, clamped
 
 
+def _repetitions(alg, l, epsilon):
+    """alg2's repetition count: l if given, else ceil(16/epsilon); None for alg1."""
+    if alg not in Algorithm.MULTI_TRIAL:
+        return None
+    return l if l is not None else choose_repetitions(epsilon)
+
+
+def _run_estimator(alg, stream, p, seed, l, epsilon, T, engine):
+    # the estimators are looked up by their module-global names at call
+    # time, so rebinding one of those names reaches every call
+    if alg == Algorithm.ALG1_TWO_PASS:
+        return alg1_two_pass(stream, p, seed, epsilon=epsilon, T=T, engine=engine)
+    if alg == Algorithm.ALG1_ONE_PASS_RANDOM:
+        return alg1_one_pass_random(stream, p, seed, epsilon=epsilon, T=T)
+    if alg == Algorithm.ALG2_TWO_PASS:
+        return alg2_two_pass(stream, p, l, seed, epsilon=epsilon, T=T, engine=engine)
+    return alg2_one_pass_random(stream, p, l, seed, epsilon=epsilon, T=T)
+
+
 def _cmd_estimate(args):
     order = _resolve_order(args)
     stream = open_stream(args.input, order=order, seed=args.seed)
@@ -180,21 +197,9 @@ def _cmd_estimate(args):
         print("warning: derived p hit its cap (%g); space savings degenerate"
               % p, file=sys.stderr)
     alg = args.algorithm
-    if alg in Algorithm.MULTI_TRIAL:
-        l = args.l if args.l is not None else choose_repetitions(args.epsilon)
-    else:
-        l = None
-    if alg == Algorithm.ALG1_TWO_PASS:
-        rep = alg1_two_pass(stream, p, args.seed, epsilon=args.epsilon, T=args.T,
-                            engine=args.engine)
-    elif alg == Algorithm.ALG1_ONE_PASS_RANDOM:
-        rep = alg1_one_pass_random(stream, p, args.seed, epsilon=args.epsilon, T=args.T)
-    elif alg == Algorithm.ALG2_TWO_PASS:
-        rep = alg2_two_pass(stream, p, l, args.seed, epsilon=args.epsilon,
-                            T=args.T, workers=args.workers, engine=args.engine)
-    else:
-        rep = alg2_one_pass_random(stream, p, l, args.seed, epsilon=args.epsilon,
-                                   T=args.T, workers=args.workers)
+    l = _repetitions(alg, args.l, args.epsilon)
+    rep = _run_estimator(alg, stream, p, args.seed, l, args.epsilon, args.T,
+                         args.engine)
     print(rep.to_json())
     return 0
 
@@ -252,12 +257,12 @@ def _cmd_bench(args):
     if (args.input is None) == (args.gen is None):
         raise ParamError("bench needs exactly one of --input or --gen")
     if args.input is not None:
-        edges = read_edge_list(args.input)
+        U, V, _ = read_edge_arrays(args.input)
         g = AdjacencyGraph()
-        g._bulk_add_unchecked(edges)
+        g._bulk_add_unchecked(zip(U.tolist(), V.tolist()))
     else:
         g = _parse_gen_spec(args.gen)
-        edges = g.edges()
+        U, V = g.edge_arrays()
 
     predicted = _predict_oracle_seconds(g)
     if predicted > args.oracle_budget:
@@ -277,8 +282,6 @@ def _cmd_bench(args):
         points = [(v, None if args.p is None else args.p) for v in sweep_vals]
 
     alg = args.algorithm
-    arr = np.array(edges, dtype=np.int64) if edges else np.empty((0, 2), dtype=np.int64)
-    U, V = (arr[:, 0].copy(), arr[:, 1].copy())
     base_stream = open_stream((U, V), validate=False)
 
     rows = []
@@ -292,10 +295,7 @@ def _cmd_bench(args):
                 p = choose_p_alg2(args.T, eps)
         else:
             raise ParamError("give --p, a p sweep, or --T so p can be derived")
-        if alg in Algorithm.MULTI_TRIAL:
-            l = args.l if args.l is not None else choose_repetitions(eps)
-        else:
-            l = None
+        l = _repetitions(alg, args.l, eps)
         for ti in range(args.trials):
             seed = bench_seed(args.seed, pi, ti)
             t0 = time.perf_counter()
@@ -304,26 +304,14 @@ def _cmd_bench(args):
                                      seed=seed, validate=False)
             else:
                 stream = base_stream
-            if alg == Algorithm.ALG1_TWO_PASS:
-                rep = alg1_two_pass(stream, p, seed, epsilon=eps, T=args.T,
-                                    engine=args.engine)
-            elif alg == Algorithm.ALG1_ONE_PASS_RANDOM:
-                rep = alg1_one_pass_random(stream, p, seed, epsilon=eps, T=args.T)
-            elif alg == Algorithm.ALG2_TWO_PASS:
-                rep = alg2_two_pass(stream, p, l, seed, epsilon=eps, T=args.T,
-                                    workers=args.workers, engine=args.engine)
-            else:
-                rep = alg2_one_pass_random(stream, p, l, seed, epsilon=eps,
-                                           T=args.T, workers=args.workers)
+            rep = _run_estimator(alg, stream, p, seed, l, eps, args.T, args.engine)
             ms = (time.perf_counter() - t0) * 1e3
             rel = abs(rep.estimate - t_true) / t_true if t_true > 0 else None
-            rows.append((pi, ti, [alg, m, n, t_true, args.T, eps, p, l, seed,
-                                  rep.estimate, rel, rep.max_stored_edges,
-                                  "%.3f" % ms]))
+            rows.append([alg, m, n, t_true, args.T, eps, p, l, seed,
+                         rep.estimate, rel, rep.max_stored_edges, "%.3f" % ms])
 
-    rows.sort(key=lambda r: (r[0], r[1]))
     lines = [CSV_HEADER]
-    for _, _, row in rows:
+    for row in rows:
         lines.append(",".join(_fmt(x) for x in row))
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -353,8 +341,6 @@ def _add_estimator_flags(sp):
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--c1", type=float, default=1.0,
                     help="scale constant for the alg1 p formula")
-    sp.add_argument("--workers", type=int, default=1,
-                    help="threads for alg2 repetitions (result is identical)")
     sp.add_argument("--engine", choices=["auto", "dense", "sets"], default="auto",
                     help="counting engine of the two-pass algorithms alg1 and "
                          "alg2 (result is identical)")
@@ -414,7 +400,6 @@ def build_parser():
     b.add_argument("--l", type=int, default=None)
     b.add_argument("--seed", type=int, default=0, help="master seed for row seeds")
     b.add_argument("--c1", type=float, default=1.0)
-    b.add_argument("--workers", type=int, default=1)
     b.add_argument("--engine", choices=["auto", "dense", "sets"], default="auto",
                    help="counting engine of alg1 and alg2 (result is identical)")
     b.add_argument("--out", default=None, help="CSV path (default stdout)")

@@ -31,13 +31,16 @@ alg1 and every alg2 repetition run one two-pass core, `_two_pass_counts`,
 on one of two engines that give the same integers: neighbour sets, or a
 float32 adjacency matrix squared by the exact oracle's BLAS kernel.
 
-Repetition seeds derive from (master_seed, repetition_index); running
-repetitions in parallel or serially gives identical reports.
+alg1-rand and every alg2-rand repetition run one single-pass loop,
+`_one_pass_count`, with the chunk kernel of their algorithm.
+
+Repetition i draws its coins from trial_rng(master_seed, i) alone, so an
+l-repetition run reports exactly the l independent repetitions.
 """
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -321,6 +324,19 @@ def _two_pass_counts(stream, p, make_rng, meter, engine, census):
     return t_in, s
 
 
+def _one_pass_count(stream, p, rng, meter, chunk_kernel):
+    """One pass that keeps each edge with probability p (one uniform from
+    `rng` per edge in stream order) and sums what `chunk_kernel` counts
+    for each chunk against the sample as it grows."""
+    adj = {}
+    s = 0
+    for U, V in stream.iter_chunks():
+        keep = rng.random(U.size) < p
+        s += chunk_kernel(adj, U.tolist(), V.tolist(), keep.tolist())
+        meter.add(int(keep.sum()))
+    return s
+
+
 # ---------------------------------------------------------------------------
 # drivers
 
@@ -351,86 +367,57 @@ def alg1_one_pass_random(stream, p, seed, epsilon=None, T=None, meter=None):
     _require_random_order(stream, Algorithm.ALG1_ONE_PASS_RANDOM)
     if meter is None:
         meter = SpaceMeter()
-    rng = sampler_rng(seed)
-    adj = {}
-    s = 0
-    for U, V in stream.iter_chunks():
-        keep = rng.random(U.size) < p
-        s += _one_pass_chunk_alg1(adj, U.tolist(), V.tolist(), keep.tolist())
-        meter.add(int(keep.sum()))
+    s = _one_pass_count(stream, p, sampler_rng(seed), meter, _one_pass_chunk_alg1)
     estimate = s / (p * p * (1.0 - p))
     params = EstimatorParams(p, epsilon, T, None, seed)
     return EstimateReport(Algorithm.ALG1_ONE_PASS_RANDOM, estimate, params,
                           meter.max_stored_edges, 1, [estimate])
 
 
-def alg2_single_trial(stream, p, seed, meter=None, engine="auto"):
-    """One alg2 repetition; returns r / (3p^2(1-p) + p^3)."""
-    p = check_probability(p)
-    engine = _pick_engine(engine, stream, p)
-    t_in, s = _two_pass_counts(stream, p, lambda: sampler_rng(seed), meter, engine,
-                               census=True)
-    return (t_in + s) / (3.0 * p * p * (1.0 - p) + p ** 3)
-
-
-def _run_trials(l, workers, run_one):
+def _check_repetitions(l):
     l = int(l)
     if l < 1:
         raise ValueError("l must be a positive integer, got %r" % (l,))
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            vals = list(pool.map(run_one, range(l)))
-    else:
-        vals = [run_one(i) for i in range(l)]
-    return vals
+    return l
 
 
 def alg2_two_pass(stream, p, l, master_seed, epsilon=None, T=None, meter=None,
-                  workers=1, engine="auto"):
+                  engine="auto"):
     """Min over l independent two-pass repetitions.
 
     The repetitions conceptually share the same two passes, so the meter
-    accumulates all their samples at once: expect about l*p*m stored edges.
+    accumulates all their samples: expect about l*p*m stored edges.
     At p = 1 every repetition is exact counting; the report flags that as
     degenerate.
     """
     p = check_probability(p)
-    eng = _pick_engine(engine, stream, p)
+    engine = _pick_engine(engine, stream, p)
+    l = _check_repetitions(l)
     if meter is None:
         meter = SpaceMeter()
     denom = 3.0 * p * p * (1.0 - p) + p ** 3
-
-    def run_one(i):
-        t_in, s = _two_pass_counts(stream, p, lambda: trial_rng(master_seed, i),
-                                   meter, eng, census=True)
-        return (t_in + s) / denom
-
-    vals = _run_trials(l, workers, run_one)
-    params = EstimatorParams(p, epsilon, T, int(l), master_seed)
+    vals = []
+    for i in range(l):
+        t_in, s = _two_pass_counts(stream, p, partial(trial_rng, master_seed, i),
+                                   meter, engine, census=True)
+        vals.append((t_in + s) / denom)
+    params = EstimatorParams(p, epsilon, T, l, master_seed)
     return EstimateReport(Algorithm.ALG2_TWO_PASS, min(vals), params,
                           meter.max_stored_edges, 2, vals, degenerate=(p == 1.0))
 
 
 def alg2_one_pass_random(stream, p, l, master_seed, epsilon=None, T=None,
-                         meter=None, workers=1):
+                         meter=None):
     """Min over l one-pass repetitions on a randomly ordered stream."""
     p = check_probability(p)
     _require_random_order(stream, Algorithm.ALG2_ONE_PASS_RANDOM)
+    l = _check_repetitions(l)
     if meter is None:
         meter = SpaceMeter()
     denom = p * p
-
-    def run_one(i):
-        rng = trial_rng(master_seed, i)
-        adj = {}
-        r = 0
-        for U, V in stream.iter_chunks():
-            keep = rng.random(U.size) < p
-            r += _one_pass_chunk_alg2(adj, U.tolist(), V.tolist(), keep.tolist())
-            meter.add(int(keep.sum()))
-        return r / denom
-
-    vals = _run_trials(l, workers, run_one)
-    params = EstimatorParams(p, epsilon, T, int(l), master_seed)
+    vals = [_one_pass_count(stream, p, trial_rng(master_seed, i), meter,
+                            _one_pass_chunk_alg2) / denom
+            for i in range(l)]
+    params = EstimatorParams(p, epsilon, T, l, master_seed)
     return EstimateReport(Algorithm.ALG2_ONE_PASS_RANDOM, min(vals), params,
                           meter.max_stored_edges, 1, vals, degenerate=(p == 1.0))

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from .edgelist import _INT64_MAX
 from .graph import AdjacencyGraph, GraphError, count_triangles_exact
 from .stream import EdgeStream, Order, open_stream, _ExpanderSource, check_seed
 
@@ -97,7 +98,8 @@ def blow_up(source, T):
     Triangles multiply by T^3 and edges by T^2.  The transform streams:
     each input edge expands to T^2 output edges with O(1) working state, so
     the result is returned as a replayable EdgeStream rather than a
-    materialized graph.  Accepts an AdjacencyGraph or an EdgeStream.
+    materialized graph.  Accepts an AdjacencyGraph or an EdgeStream; an
+    output id past the int64 range is a GeneratorError.
     """
     T = int(T)
     if T < 1:
@@ -108,6 +110,10 @@ def blow_up(source, T):
         base = source
     else:
         raise GeneratorError("blow_up wants an AdjacencyGraph or EdgeStream")
+    max_out = (base.max_vertex_id + 1) * T - 1 if base.max_vertex_id is not None else None
+    if max_out is not None and max_out > _INT64_MAX:
+        raise GeneratorError("blow-up ids would reach %d, past the int64 limit %d"
+                             % (max_out, _INT64_MAX))
 
     offsets_i, offsets_j = np.meshgrid(np.arange(T, dtype=np.int64),
                                        np.arange(T, dtype=np.int64), indexing="ij")
@@ -137,7 +143,6 @@ def blow_up(source, T):
             yield np.concatenate(bu), np.concatenate(bv)
 
     n_out = base.n * T if base.n is not None else None
-    max_out = (base.max_vertex_id + 1) * T - 1 if base.max_vertex_id is not None else None
     src = _ExpanderSource(base.m * T * T, expand_chunks, n=n_out, max_id=max_out)
     return EdgeStream(src, order=Order.AS_GIVEN, seed=0, n=n_out, max_vertex_id=max_out)
 

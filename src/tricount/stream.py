@@ -6,11 +6,11 @@ same order.  The order is either the source order or a random permutation
 drawn once at construction from a seed, never redrawn between passes.
 
 Streams over files do not load the edge list into memory during passes;
-they parse the file a block of lines at a time and yield chunks of
-TRICOUNT_STREAM_BUFFER edges (default 65536).  Opening a file stream always
-scans the whole file once, because the scan gives m and the line offsets
-that random-order passes seek to: it rejects malformed lines, and finds
-repeated edges with one sort of the endpoint arrays.  `validate=False`
+they parse the file a block of lines at a time and yield chunks of 65536
+edges.  Opening a file stream always scans the whole file once, because
+the scan gives m and the line offsets that random-order passes seek to:
+it rejects malformed lines, and finds repeated edges with one sort of the
+endpoint arrays.  `validate=False`
 skips the duplicate check of in-memory sources only.  The scan also
 records the file's size and modification time; a pass over a file whose
 size or time has changed since, or an as-given pass that does not yield m
@@ -18,12 +18,11 @@ edges, raises SourceChangedError.
 
 Randomness is split by purpose.  The permutation, the sampling coins and
 the per-trial substreams are derived from (seed, tag) so that reusing one
-integer seed across roles never correlates them, and so that trials run in
-parallel or serially with identical results.
+integer seed across roles never correlates them, and so that each
+repetition's coins depend only on (seed, repetition index).
 """
 
 import os
-import threading
 
 import numpy as np
 
@@ -67,7 +66,7 @@ def sampler_rng(seed):
 
 
 def trial_rng(master_seed, trial_index):
-    """Independent substream for one repetition; scheduling never matters."""
+    """Independent substream for one repetition."""
     return np.random.default_rng(
         np.random.SeedSequence((check_seed(master_seed), _TRIAL_TAG, int(trial_index))))
 
@@ -79,12 +78,9 @@ def bench_seed(master_seed, point_index, trial_index):
     return int(ss.generate_state(1)[0])
 
 
-def default_chunk_size():
-    try:
-        n = int(os.environ.get("TRICOUNT_STREAM_BUFFER", "65536"))
-    except ValueError:
-        n = 65536
-    return max(1, n)
+# edges per chunk of a pass; no report depends on it, since the coins are
+# one uniform per edge in stream order
+_CHUNK_SIZE = 65536
 
 
 class _MemorySource:
@@ -257,7 +253,7 @@ class EdgeStream:
 
     def iter_chunks(self, chunk_size=None):
         """Yield (U, V) int64 array pairs covering one full pass."""
-        cs = chunk_size if chunk_size else default_chunk_size()
+        cs = chunk_size or _CHUNK_SIZE
         if self._perm is None:
             yield from self._source.iter_chunks(cs)
         else:
@@ -323,27 +319,23 @@ def open_stream(source, order=Order.AS_GIVEN, seed=0, validate=True):
 class SpaceMeter:
     """Counts stored edges in words; max is monotone over a run.
 
-    Thread safe so concurrent repetitions can share one meter; because
-    every repetition only ever adds, the final maximum is the sum of the
-    per-repetition sample sizes no matter how they interleave.
+    Repetitions of one run share a meter and only ever add, so its final
+    maximum is the sum of the per-repetition sample sizes.
     """
 
     def __init__(self):
-        self._lock = threading.Lock()
         self.current_stored_edges = 0
         self.max_stored_edges = 0
 
     def add(self, k):
-        with self._lock:
-            self.current_stored_edges += int(k)
-            if self.current_stored_edges > self.max_stored_edges:
-                self.max_stored_edges = self.current_stored_edges
+        self.current_stored_edges += int(k)
+        if self.current_stored_edges > self.max_stored_edges:
+            self.max_stored_edges = self.current_stored_edges
 
     def release(self, k):
-        with self._lock:
-            self.current_stored_edges -= int(k)
-            if self.current_stored_edges < 0:
-                raise ValueError("released more edges than were stored")
+        self.current_stored_edges -= int(k)
+        if self.current_stored_edges < 0:
+            raise ValueError("released more edges than were stored")
 
 
 class SampledGraph:

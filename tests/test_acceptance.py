@@ -9,7 +9,8 @@ pytest -s to see them as they finish).
 5. space accounting: stored edges track l*p*m and scale linearly in p
 6. heavy/light split bounds on every suite graph with triangles
 7. generator identities: blow-up cubes counts, disjointness gadget dichotomy
-8. determinism: byte-identical CLI reports, parallel == serial repetitions
+8. determinism: byte-identical CLI reports, an l-repetition run equals l
+   independent repetitions
 """
 
 import math
@@ -25,7 +26,7 @@ from tricount import (AdjacencyGraph, count_triangles_exact, triangle_stats,
                       gen_disjointness, gen_disjointness_random,
                       choose_p_alg2, choose_repetitions,
                       alg1_two_pass, alg1_one_pass_random,
-                      alg2_two_pass, alg2_one_pass_random)
+                      alg2_two_pass, alg2_one_pass_random, trial_rng)
 from tricount.estimators import (alg1_pass2_count, alg2_detected_count,
                                  alg1_one_pass_count, alg2_one_pass_count)
 
@@ -245,7 +246,10 @@ def test_criterion_7_generator_identities(small_suite):
 
 def test_criterion_8_determinism(tmp_path):
     """Identical CLI invocations emit identical bytes (bench modulo its
-    wall-clock column), and repetition scheduling never changes alg2."""
+    wall-clock column), and an l-repetition alg2 run is l independent
+    repetitions: its first k entries are a k-repetition run's, entry i is
+    the repetition counter on the trial_rng(seed, i) coins, and it stores
+    the sum of the l samples."""
     el = tmp_path / "planted.el"
     write_edge_list(el, gen_planted(300, 25, seed=5).edges())
 
@@ -277,19 +281,26 @@ def test_criterion_8_determinism(tmp_path):
                   mask_wall_time(b.stdout))
 
     g = gen_planted(600, 50, seed=3)
-    stream = open_stream(g)
-    serial = alg2_two_pass(stream, 0.35, 8, 21, workers=1)
-    parallel = alg2_two_pass(stream, 0.35, 8, 21, workers=4)
-    api_same = (serial.estimate == parallel.estimate
-                and serial.per_trial_estimates == parallel.per_trial_estimates
-                and serial.max_stored_edges == parallel.max_stored_edges)
+    p = 0.35
+    denom = 3.0 * p * p * (1.0 - p) + p ** 3
+    reps_independent = True
+    for estimator, stream, seed, count in (
+            (alg2_two_pass, open_stream(g), 21,
+             lambda edges, keep: alg2_detected_count(edges, keep) / denom),
+            (alg2_one_pass_random, open_stream(g, order=Order.RANDOM_PERMUTATION, seed=5),
+             4, lambda edges, keep: alg2_one_pass_count(edges, keep) / (p * p))):
+        edges = list(stream.iter_edges())
+        keeps = [trial_rng(seed, i).random(len(edges)) < p for i in range(8)]
+        rep = estimator(stream, p, 8, seed)
+        full = rep.per_trial_estimates
+        reps_independent = (
+            reps_independent
+            and full == [count(edges, keep.tolist()) for keep in keeps]
+            and rep.max_stored_edges == sum(int(keep.sum()) for keep in keeps)
+            and all(estimator(stream, p, k, seed).per_trial_estimates == full[:k]
+                    for k in range(1, 8)))
 
-    rs = open_stream(g, order=Order.RANDOM_PERMUTATION, seed=5)
-    s1 = alg2_one_pass_random(rs, 0.35, 6, 4, workers=1)
-    s2 = alg2_one_pass_random(rs, 0.35, 6, 4, workers=3)
-    api_same = api_same and s1.per_trial_estimates == s2.per_trial_estimates
-
-    ok = all(json_runs) and bench_same and api_same
+    ok = all(json_runs) and bench_same and reps_independent
     report(8, "determinism", ok,
            "4 estimator CLI reports byte-identical, bench stable modulo "
-           "wall_time_ms, parallel repetitions equal serial")
+           "wall_time_ms, l-repetition runs equal l independent repetitions")

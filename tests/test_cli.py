@@ -55,6 +55,15 @@ def test_gen_blowup(tmp_path, k4_file):
     assert len(open(out).readlines()) == 12
 
 
+def test_gen_blowup_rejects_ids_past_int64(tmp_path):
+    base = tmp_path / "big.el"
+    base.write_text("0 %d\n" % 2 ** 62)
+    r = run_cli("gen", "blowup", "--input", str(base), "--T", "4",
+                "--out", str(tmp_path / "b.el"))
+    assert r.returncode == 2
+    assert "int64" in r.stderr
+
+
 def test_gen_shuffle_is_a_permutation(tmp_path):
     a = tmp_path / "a.el"
     b = tmp_path / "b.el"
@@ -221,6 +230,32 @@ def test_bench_one_pass(planted_file):
                 "--trials", "3")
     assert r.returncode == 0
     assert len(r.stdout.strip().splitlines()) == 4
+
+
+@pytest.mark.parametrize("alg, extra", [("alg1", ()), ("alg1-rand", ()),
+                                        ("alg2", ("--l", "3")),
+                                        ("alg2-rand", ("--l", "3"))])
+def test_bench_row_equals_estimate(planted_file, alg, extra):
+    # bench and estimate share one dispatch: a one-trial row reproduces
+    # `estimate` at the row's seed (the one-pass orders come from that seed)
+    r = run_cli("bench", alg, "--input", planted_file, "--p", "0.4",
+                "--trials", "1", "--seed", "6", *extra)
+    assert r.returncode == 0
+    (row,) = csv.DictReader(io.StringIO(r.stdout))
+    e = run_cli("estimate", alg, "--input", planted_file, "--p", "0.4",
+                "--seed", row["seed"], *extra)
+    assert e.returncode == 0
+    d = json.loads(e.stdout)
+    assert float(row["estimate"]) == d["estimate"]
+    assert int(row["max_stored_edges"]) == d["max_stored_edges"]
+
+
+def test_workers_flag_is_gone(planted_file):
+    for cmd in ("estimate", "bench"):
+        r = run_cli(cmd, "alg2", "--input", planted_file, "--p", "0.4",
+                    "--workers", "2")
+        assert r.returncode == 2
+        assert "--workers" in r.stderr
 
 
 def test_bench_oracle_budget(planted_file):

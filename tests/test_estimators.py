@@ -9,9 +9,8 @@ from hypothesis import given, settings, strategies as st
 from tricount import (open_stream, Order, SpaceMeter, gen_complete,
                       gen_planted, gen_tripartite, count_triangles_exact,
                       choose_p_alg1, choose_p_alg2, choose_repetitions,
-                      alg1_two_pass, alg1_one_pass_random, alg2_single_trial,
-                      alg2_two_pass, alg2_one_pass_random, AdjacencyGraph,
-                      write_edge_list)
+                      alg1_two_pass, alg1_one_pass_random, alg2_two_pass,
+                      alg2_one_pass_random, AdjacencyGraph, write_edge_list)
 from tricount.estimators import (alg1_pass2_count, alg2_detected_count,
                                  alg1_one_pass_count, alg2_one_pass_count,
                                  _pick_engine, _DENSE_FORCE_MAX_N)
@@ -151,7 +150,6 @@ def test_one_pass_requires_random_order():
 def test_alg2_exact_at_p1():
     for g, t in ((gen_complete(4), 4), (gen_tripartite(2, 3, 4), 24)):
         stream = open_stream(g)
-        assert alg2_single_trial(stream, 1.0, 0) == t
         rep = alg2_two_pass(stream, 1.0, 5, 0)
         assert rep.estimate == t
         assert rep.per_trial_estimates == [t] * 5
@@ -171,7 +169,7 @@ def test_single_triangle_expectations_small():
     # single triangle, p=0.5: E[trial detection] = 0.5, so the scale makes
     # the average of many independent trials land near 1
     stream = open_stream(gen_complete(3))
-    vals = [alg2_single_trial(stream, 0.5, seed) for seed in range(4000)]
+    vals = alg2_two_pass(stream, 0.5, 4000, 0).per_trial_estimates
     assert abs(np.mean(vals) - 1.0) < 0.1
 
 
@@ -245,21 +243,6 @@ def test_alg1_engines_match_oracle(tmp_path_factory, edges, p, seed):
             rep = alg1_two_pass(stream, p, seed, engine=engine)
             assert rep.estimate == s / (3.0 * p * p * (1.0 - p))
             assert rep.max_stored_edges == int(keep.sum())
-
-
-def test_parallel_equals_serial():
-    g = gen_planted(400, 30, seed=9)
-    stream = open_stream(g)
-    a = alg2_two_pass(stream, 0.4, 8, 5, workers=1)
-    b = alg2_two_pass(stream, 0.4, 8, 5, workers=4)
-    assert a.estimate == b.estimate
-    assert a.per_trial_estimates == b.per_trial_estimates
-    assert a.max_stored_edges == b.max_stored_edges
-    rs = open_stream(g, order=Order.RANDOM_PERMUTATION, seed=3)
-    c = alg2_one_pass_random(rs, 0.4, 8, 5, workers=1)
-    d = alg2_one_pass_random(rs, 0.4, 8, 5, workers=4)
-    assert c.estimate == d.estimate
-    assert c.per_trial_estimates == d.per_trial_estimates
 
 
 # ---------------------------------------------------------------------------

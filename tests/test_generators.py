@@ -102,6 +102,15 @@ def test_blow_up_is_replayable_and_chunked():
     assert out.n == 12 and out.max_vertex_id == 11
 
 
+def test_blow_up_rejects_ids_past_int64():
+    # (2^62 + 1) * 4 - 1 would wrap to small ids and emit self-loops
+    with pytest.raises(GeneratorError):
+        blow_up(open_stream([(0, 2 ** 62)]), 4)
+    out = blow_up(open_stream([(0, 2 ** 61 - 1)]), 4)
+    assert out.max_vertex_id == 2 ** 63 - 1
+    assert max(v for _, v in out.iter_edges()) == 2 ** 63 - 1
+
+
 def test_blow_up_feeds_estimators():
     out = blow_up(gen_complete(3), 4)
     rep = alg2_two_pass(out, 1.0, 2, 0)

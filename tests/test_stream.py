@@ -1,6 +1,5 @@
 import math
 import os
-import threading
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from tricount import (open_stream, Order, SpaceMeter, sample_pass,
                       order_rng, sampler_rng, trial_rng, SourceChangedError,
                       EdgeListParseError, DuplicateEdgeError, gen_complete)
 from tricount import cli
-from tricount.stream import check_seed, default_chunk_size
+from tricount.stream import check_seed
 
 
 EDGES3 = [(0, 1), (1, 2), (2, 3)]
@@ -50,7 +49,7 @@ def test_replay_file_matches_memory(tmp_path):
         assert list(sf.iter_edges()) == list(sm.iter_edges())
 
 
-def test_chunks_agree_with_edges(monkeypatch):
+def test_chunks_agree_with_edges():
     edges = [(i, j) for i in range(10) for j in range(i + 1, 10)]
     s = open_stream(edges, order=Order.RANDOM_PERMUTATION, seed=1)
     flat = []
@@ -58,9 +57,6 @@ def test_chunks_agree_with_edges(monkeypatch):
         assert U.dtype == np.int64
         flat.extend(zip(U.tolist(), V.tolist()))
     assert flat == list(s.iter_edges())
-    monkeypatch.setenv("TRICOUNT_STREAM_BUFFER", "5")
-    assert default_chunk_size() == 5
-    assert list(s.iter_edges()) == flat
 
 
 def test_all_orderings_occur_uniformly():
@@ -229,19 +225,3 @@ def test_space_meter():
     assert meter.max_stored_edges == 8
     with pytest.raises(ValueError):
         meter.release(100)
-
-
-def test_space_meter_threaded_sum():
-    meter = SpaceMeter()
-
-    def work():
-        for _ in range(1000):
-            meter.add(1)
-
-    threads = [threading.Thread(target=work) for _ in range(4)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
-    assert meter.current_stored_edges == 4000
-    assert meter.max_stored_edges == 4000
