@@ -2,15 +2,15 @@
 
 Shows that a stream replays identically pass after pass (the property the
 two-pass estimators rely on), that a random-order stream fixes its
-permutation at construction, and how the sampling pass and the space meter
-interact.
+permutation at construction, and how many sampled edges an estimator
+stores.
 """
 
 import os
 import tempfile
 
-from tricount import (gen_planted, open_stream, Order, SpaceMeter,
-                      sample_pass, sampler_rng, write_edge_list)
+from tricount import (gen_planted, open_stream, Order, alg1_two_pass,
+                      alg2_two_pass, write_edge_list)
 
 
 def main():
@@ -38,18 +38,15 @@ def main():
     print("file-backed stream with the same seed matches in-memory:", same)
 
     print()
-    print("sampling pass at p=0.3, m=%d:" % s.m)
+    print("alg1 at p=0.3, m=%d, edges stored by its one sample:" % s.m)
     for seed in range(4):
-        meter = SpaceMeter()
-        sg = sample_pass(s, 0.3, sampler_rng(seed), meter)
-        print("  seed %d: kept %2d edges (meter max %2d, expect about %.0f)"
-              % (seed, sg.sampled_count, meter.max_stored_edges, 0.3 * s.m))
+        rep = alg1_two_pass(s, 0.3, seed)
+        print("  seed %d: stored %2d edges (expect about %.0f)"
+              % (seed, rep.max_stored_edges, 0.3 * s.m))
 
-    meter = SpaceMeter()
-    sample_pass(s, 0.3, sampler_rng(0), meter)
-    sample_pass(s, 0.3, sampler_rng(1), meter)
-    print("two samples held at once, meter max:", meter.max_stored_edges)
-
+    rep = alg2_two_pass(s, 0.3, 2, 0)
+    print("alg2 at p=0.3 with 2 repetitions holds both samples at once:",
+          rep.max_stored_edges, "stored edges (expect about %.0f)" % (2 * 0.3 * s.m))
 
 if __name__ == "__main__":
     main()

@@ -1,10 +1,10 @@
 """Streaming triangle counting toolkit.
 
-Exact counting and edge statistics (graph), replayable edge streams with
-sampling and space accounting (stream), unbiased and min-of-repetitions
-sampling estimators with one-pass random-order variants (estimators),
-graph and gadget generators with known counts (generators), and a command
-line harness (cli).
+Exact counting and edge statistics (graph), replayable edge streams and
+seed derivation (stream), unbiased and min-of-repetitions sampling
+estimators with one-pass random-order variants and their space accounting
+(estimators), graph and gadget generators with known counts (generators),
+and a command line harness (cli).
 """
 
 __version__ = "0.1.0"
@@ -14,9 +14,8 @@ from .graph import (AdjacencyGraph, TriangleStats, EdgePartition, GraphError,
                     triangle_stats, classify_edges, count_new_triangles)
 from .edgelist import (EdgeListParseError, read_edge_list, write_edge_list,
                        iter_edge_file)
-from .stream import (Order, EdgeStream, SampledGraph, SpaceMeter, open_stream,
-                     sample_pass, order_rng, sampler_rng, trial_rng,
-                     SourceChangedError)
+from .stream import (Order, EdgeStream, open_stream, order_rng, sampler_rng,
+                     trial_rng, SourceChangedError)
 from .estimators import (Algorithm, EstimatorParams, EstimateReport,
                          choose_p_alg1, choose_p_alg2, choose_repetitions,
                          alg1_two_pass, alg1_one_pass_random, alg2_two_pass,
@@ -30,8 +29,8 @@ __all__ = [
     "DuplicateEdgeError", "canonical_edge", "count_triangles_exact",
     "triangle_stats", "classify_edges", "count_new_triangles",
     "EdgeListParseError", "read_edge_list", "write_edge_list", "iter_edge_file",
-    "Order", "EdgeStream", "SampledGraph", "SpaceMeter", "open_stream",
-    "sample_pass", "order_rng", "sampler_rng", "trial_rng", "SourceChangedError",
+    "Order", "EdgeStream", "open_stream", "order_rng", "sampler_rng",
+    "trial_rng", "SourceChangedError",
     "Algorithm", "EstimatorParams", "EstimateReport",
     "choose_p_alg1", "choose_p_alg2", "choose_repetitions",
     "alg1_two_pass", "alg1_one_pass_random", "alg2_two_pass",

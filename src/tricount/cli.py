@@ -153,21 +153,25 @@ def _resolve_order(args):
     return args.order
 
 
-def _resolve_p(args, n):
-    """Explicit --p wins; otherwise derive it from the promise --T."""
-    if args.p is not None:
-        return float(args.p), False
-    if args.T is None:
+def _resolve_p(alg, p, T, epsilon, c1, n):
+    """Explicit p wins; otherwise derive it from the promise T (alg1 also
+    needs the vertex count n), warning on stderr when it hits its cap."""
+    if p is not None:
+        return float(p)
+    if T is None:
         raise ParamError("give --p, or --T so p can be derived")
-    if args.algorithm in (Algorithm.ALG1_TWO_PASS, Algorithm.ALG1_ONE_PASS_RANDOM):
+    if alg in (Algorithm.ALG1_TWO_PASS, Algorithm.ALG1_ONE_PASS_RANDOM):
         if n is None or n <= 1:
             raise ParamError("cannot derive p: the input has fewer than 2 vertices")
-        p = choose_p_alg1(n, args.T, args.epsilon, args.c1)
+        p = choose_p_alg1(n, T, epsilon, c1)
         clamped = p == P_CAP_ALG1
     else:
-        p = choose_p_alg2(args.T, args.epsilon)
+        p = choose_p_alg2(T, epsilon)
         clamped = p == 1.0
-    return p, clamped
+    if clamped:
+        print("warning: derived p hit its cap (%g); space savings degenerate"
+              % p, file=sys.stderr)
+    return p
 
 
 def _repetitions(alg, l, epsilon):
@@ -177,29 +181,25 @@ def _repetitions(alg, l, epsilon):
     return l if l is not None else choose_repetitions(epsilon)
 
 
-def _run_estimator(alg, stream, p, seed, l, epsilon, T, engine):
+def _run_estimator(alg, stream, p, seed, l, epsilon, T):
     # the estimators are looked up by their module-global names at call
     # time, so rebinding one of those names reaches every call
     if alg == Algorithm.ALG1_TWO_PASS:
-        return alg1_two_pass(stream, p, seed, epsilon=epsilon, T=T, engine=engine)
+        return alg1_two_pass(stream, p, seed, epsilon=epsilon, T=T)
     if alg == Algorithm.ALG1_ONE_PASS_RANDOM:
         return alg1_one_pass_random(stream, p, seed, epsilon=epsilon, T=T)
     if alg == Algorithm.ALG2_TWO_PASS:
-        return alg2_two_pass(stream, p, l, seed, epsilon=epsilon, T=T, engine=engine)
+        return alg2_two_pass(stream, p, l, seed, epsilon=epsilon, T=T)
     return alg2_one_pass_random(stream, p, l, seed, epsilon=epsilon, T=T)
 
 
 def _cmd_estimate(args):
     order = _resolve_order(args)
     stream = open_stream(args.input, order=order, seed=args.seed)
-    p, clamped = _resolve_p(args, stream.n)
-    if clamped:
-        print("warning: derived p hit its cap (%g); space savings degenerate"
-              % p, file=sys.stderr)
     alg = args.algorithm
+    p = _resolve_p(alg, args.p, args.T, args.epsilon, args.c1, stream.n)
     l = _repetitions(alg, args.l, args.epsilon)
-    rep = _run_estimator(alg, stream, p, args.seed, l, args.epsilon, args.T,
-                         args.engine)
+    rep = _run_estimator(alg, stream, p, args.seed, l, args.epsilon, args.T)
     print(rep.to_json())
     return 0
 
@@ -286,15 +286,7 @@ def _cmd_bench(args):
 
     rows = []
     for pi, (eps, p_fixed) in enumerate(points):
-        if p_fixed is not None:
-            p = float(p_fixed)
-        elif args.T is not None:
-            if alg in (Algorithm.ALG1_TWO_PASS, Algorithm.ALG1_ONE_PASS_RANDOM):
-                p = choose_p_alg1(max(n, 2), args.T, eps, args.c1)
-            else:
-                p = choose_p_alg2(args.T, eps)
-        else:
-            raise ParamError("give --p, a p sweep, or --T so p can be derived")
+        p = _resolve_p(alg, p_fixed, args.T, eps, args.c1, n)
         l = _repetitions(alg, args.l, eps)
         for ti in range(args.trials):
             seed = bench_seed(args.seed, pi, ti)
@@ -304,7 +296,7 @@ def _cmd_bench(args):
                                      seed=seed, validate=False)
             else:
                 stream = base_stream
-            rep = _run_estimator(alg, stream, p, seed, l, eps, args.T, args.engine)
+            rep = _run_estimator(alg, stream, p, seed, l, eps, args.T)
             ms = (time.perf_counter() - t0) * 1e3
             rel = abs(rep.estimate - t_true) / t_true if t_true > 0 else None
             rows.append([alg, m, n, t_true, args.T, eps, p, l, seed,
@@ -341,9 +333,6 @@ def _add_estimator_flags(sp):
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--c1", type=float, default=1.0,
                     help="scale constant for the alg1 p formula")
-    sp.add_argument("--engine", choices=["auto", "dense", "sets"], default="auto",
-                    help="counting engine of the two-pass algorithms alg1 and "
-                         "alg2 (result is identical)")
 
 
 def build_parser():
@@ -400,8 +389,6 @@ def build_parser():
     b.add_argument("--l", type=int, default=None)
     b.add_argument("--seed", type=int, default=0, help="master seed for row seeds")
     b.add_argument("--c1", type=float, default=1.0)
-    b.add_argument("--engine", choices=["auto", "dense", "sets"], default="auto",
-                   help="counting engine of alg1 and alg2 (result is identical)")
     b.add_argument("--out", default=None, help="CSV path (default stdout)")
     b.add_argument("--oracle-budget", type=float, default=60.0,
                    help="refuse inputs whose exact count would exceed this "

@@ -27,12 +27,16 @@ probability p):
   detected exactly when its first two edges in stream order were both
   kept, probability p^2, so each repetition reports r / p^2.
 
-alg1 and every alg2 repetition run one two-pass core, `_two_pass_counts`,
-on one of two engines that give the same integers: neighbour sets, or a
-float32 adjacency matrix squared by the exact oracle's BLAS kernel.
-
+Every pass of every algorithm draws its coins in one generator, `_coins`,
+one uniform per edge in stream order.  alg1 and every alg2 repetition run
+one two-pass core, `_two_pass_counts`, on one of two engines that give the
+same integers: neighbour sets, or a float32 adjacency matrix squared by the
+exact oracle's BLAS kernel.  The engine follows from the input alone
+(`_dense_fits`: a small vertex range and a sample that is not sparse).
 alg1-rand and every alg2-rand repetition run one single-pass loop,
-`_one_pass_count`, with the chunk kernel of their algorithm.
+`_one_pass_count`, with the chunk kernel of their algorithm.  Each pass
+counts the edges it keeps; a report's max_stored_edges is their sum over
+the repetitions, since a run holds all its samples at once.
 
 Repetition i draws its coins from trial_rng(master_seed, i) alone, so an
 l-repetition run reports exactly the l independent repetitions.
@@ -46,8 +50,7 @@ import numpy as np
 
 from .graph import (AdjacencyGraph, count_triangles_exact, _dense_kernel,
                     _DENSE_MAX_N)
-from .stream import (Order, SpaceMeter, sample_pass, sampler_rng, trial_rng,
-                     check_probability)
+from .stream import Order, sampler_rng, trial_rng
 
 
 class Algorithm:
@@ -121,6 +124,15 @@ def _check_epsilon(epsilon):
     if not (0.0 < epsilon <= 0.5):
         raise ValueError("epsilon must lie in (0, 0.5], got %r" % (epsilon,))
     return epsilon
+
+
+def check_probability(p, allow_one=True):
+    p = float(p)
+    ok = 0.0 < p <= 1.0 if allow_one else 0.0 < p < 1.0
+    if not ok:
+        raise ValueError("p must lie in %s, got %r" %
+                         ("(0, 1]" if allow_one else "(0, 1)", p))
+    return p
 
 
 def choose_p_alg1(n, T, epsilon, c1=1.0):
@@ -261,80 +273,76 @@ def alg2_one_pass_count(edges_in_order, keep):
 
 
 # ---------------------------------------------------------------------------
-# the two-pass core of alg1 and alg2, on one of two engines
+# the passes: every coin of every estimator is drawn in `_coins`
 
-_DENSE_FORCE_MAX_N = 8192
+def _coins(stream, p, rng):
+    """One pass over the stream: yields (U, V, keep) per chunk, where keep
+    marks the edges kept with probability p, one uniform from `rng` per
+    edge in stream order.  A fresh generator seeded the same way redraws
+    the same coins."""
+    for U, V in stream.iter_chunks():
+        yield U, V, rng.random(U.size) < p
 
 
-def _pick_engine(engine, stream, p):
-    if engine not in ("auto", "dense", "sets"):
-        raise ValueError("engine must be auto, dense or sets, got %r" % (engine,))
+def _dense_fits(stream, p):
+    """The dense engine pays off when the matrix is small and the sample
+    is not sparse."""
     nmax = stream.max_vertex_id
-    if engine == "sets":
-        return "sets"
-    if engine == "dense":
-        if nmax is None or nmax + 1 > _DENSE_FORCE_MAX_N:
-            raise ValueError("dense engine needs a known vertex range up to %d"
-                             % _DENSE_FORCE_MAX_N)
-        return "dense"
-    # auto: dense pays off when the matrix is small and the sample is not sparse
-    if nmax is not None and nmax + 1 <= _DENSE_MAX_N and p * stream.m >= 8.0 * (nmax + 1):
-        return "dense"
-    return "sets"
+    return (nmax is not None and nmax + 1 <= _DENSE_MAX_N
+            and p * stream.m >= 8.0 * (nmax + 1))
 
 
-def _two_pass_counts(stream, p, make_rng, meter, engine, census):
-    """Pass 1 keeps each edge with probability p; pass 2 redraws the same
-    coins (one uniform per edge in stream order) from a fresh make_rng()
-    and sums, over the edges not kept, the triangles each closes against
-    the sample.  Returns (t_in, s): the sample's own triangle count (None
-    unless `census`) and that sum.  The "dense" engine reads each closure
-    count off A @ A for the sample's float32 adjacency matrix A; its sums
-    are exact, so both engines return the same integers.
+def _two_pass_counts(stream, p, make_rng, census):
+    """Pass 1 keeps each edge with probability p on the coins of a fresh
+    make_rng(); pass 2 redraws the same coins and sums, over the edges not
+    kept, the triangles each closes against the sample.  Returns (t_in, s,
+    kept): the sample's own triangle count (None unless `census`), that
+    sum, and the number of kept edges.  When `_dense_fits`, each closure
+    count is read off A @ A for the sample's float32 adjacency matrix A,
+    otherwise off neighbour sets; the sums are exact either way, so both
+    engines return the same integers.
     """
-    if engine == "dense":
+    kept = 0
+    if _dense_fits(stream, p):
         nmax = stream.max_vertex_id + 1
         A = np.zeros((nmax, nmax), dtype=np.float32)
-        rng1 = make_rng()
-        kept = 0
-        for U, V in stream.iter_chunks():
-            keep = rng1.random(U.size) < p
+        for U, V, keep in _coins(stream, p, make_rng()):
             ku, kv = U[keep], V[keep]
             A[ku, kv] = 1.0
             A[kv, ku] = 1.0
             kept += ku.size
-        if meter is not None:
-            meter.add(kept)
         common, t_in = _dense_kernel(A, census)
 
         def closes(U, V):
             return int(common[U, V].sum(dtype=np.float64))
     else:
-        sample = sample_pass(stream, p, make_rng(), meter).graph
+        sample = AdjacencyGraph()
+        for U, V, keep in _coins(stream, p, make_rng()):
+            ku, kv = U[keep], V[keep]
+            sample._bulk_add_unchecked(zip(ku.tolist(), kv.tolist()))
+            kept += ku.size
         t_in = count_triangles_exact(sample) if census else None
         adj = sample.adj
 
         def closes(U, V):
             return _closures(adj, zip(U.tolist(), V.tolist()))
-    rng2 = make_rng()
     s = 0
-    for U, V in stream.iter_chunks():
-        drop = rng2.random(U.size) >= p
+    for U, V, keep in _coins(stream, p, make_rng()):
+        drop = ~keep
         s += closes(U[drop], V[drop])
-    return t_in, s
+    return t_in, s, kept
 
 
-def _one_pass_count(stream, p, rng, meter, chunk_kernel):
-    """One pass that keeps each edge with probability p (one uniform from
-    `rng` per edge in stream order) and sums what `chunk_kernel` counts
-    for each chunk against the sample as it grows."""
+def _one_pass_count(stream, p, rng, chunk_kernel):
+    """One pass that keeps each edge with probability p and sums what
+    `chunk_kernel` counts for each chunk against the sample as it grows.
+    Returns (s, kept)."""
     adj = {}
-    s = 0
-    for U, V in stream.iter_chunks():
-        keep = rng.random(U.size) < p
+    s = kept = 0
+    for U, V, keep in _coins(stream, p, rng):
         s += chunk_kernel(adj, U.tolist(), V.tolist(), keep.tolist())
-        meter.add(int(keep.sum()))
-    return s
+        kept += int(keep.sum())
+    return s, kept
 
 
 # ---------------------------------------------------------------------------
@@ -346,32 +354,25 @@ def _require_random_order(stream, algorithm):
                          "open it with order='random'" % algorithm)
 
 
-def alg1_two_pass(stream, p, seed, epsilon=None, T=None, meter=None,
-                  engine="auto"):
+def alg1_two_pass(stream, p, seed, epsilon=None, T=None):
     """Unbiased two-pass estimate of the triangle count of the stream."""
     p = check_probability(p, allow_one=False)
-    engine = _pick_engine(engine, stream, p)
-    if meter is None:
-        meter = SpaceMeter()
-    _, s = _two_pass_counts(stream, p, lambda: sampler_rng(seed), meter, engine,
-                            census=False)
+    _, s, kept = _two_pass_counts(stream, p, lambda: sampler_rng(seed), census=False)
     estimate = s / (3.0 * p * p * (1.0 - p))
     params = EstimatorParams(p, epsilon, T, None, seed)
-    return EstimateReport(Algorithm.ALG1_TWO_PASS, estimate, params,
-                          meter.max_stored_edges, 2, [estimate])
+    return EstimateReport(Algorithm.ALG1_TWO_PASS, estimate, params, kept, 2,
+                          [estimate])
 
 
-def alg1_one_pass_random(stream, p, seed, epsilon=None, T=None, meter=None):
+def alg1_one_pass_random(stream, p, seed, epsilon=None, T=None):
     """One-pass variant of alg1 for randomly ordered streams."""
     p = check_probability(p, allow_one=False)
     _require_random_order(stream, Algorithm.ALG1_ONE_PASS_RANDOM)
-    if meter is None:
-        meter = SpaceMeter()
-    s = _one_pass_count(stream, p, sampler_rng(seed), meter, _one_pass_chunk_alg1)
+    s, kept = _one_pass_count(stream, p, sampler_rng(seed), _one_pass_chunk_alg1)
     estimate = s / (p * p * (1.0 - p))
     params = EstimatorParams(p, epsilon, T, None, seed)
     return EstimateReport(Algorithm.ALG1_ONE_PASS_RANDOM, estimate, params,
-                          meter.max_stored_edges, 1, [estimate])
+                          kept, 1, [estimate])
 
 
 def _check_repetitions(l):
@@ -381,43 +382,43 @@ def _check_repetitions(l):
     return l
 
 
-def alg2_two_pass(stream, p, l, master_seed, epsilon=None, T=None, meter=None,
-                  engine="auto"):
+def alg2_two_pass(stream, p, l, master_seed, epsilon=None, T=None):
     """Min over l independent two-pass repetitions.
 
-    The repetitions conceptually share the same two passes, so the meter
-    accumulates all their samples: expect about l*p*m stored edges.
+    The repetitions conceptually share the same two passes, so the stored
+    edges are the sum of all their samples: expect about l*p*m.
     At p = 1 every repetition is exact counting; the report flags that as
     degenerate.
     """
     p = check_probability(p)
-    engine = _pick_engine(engine, stream, p)
     l = _check_repetitions(l)
-    if meter is None:
-        meter = SpaceMeter()
     denom = 3.0 * p * p * (1.0 - p) + p ** 3
     vals = []
+    stored = 0
     for i in range(l):
-        t_in, s = _two_pass_counts(stream, p, partial(trial_rng, master_seed, i),
-                                   meter, engine, census=True)
+        t_in, s, kept = _two_pass_counts(stream, p, partial(trial_rng, master_seed, i),
+                                         census=True)
         vals.append((t_in + s) / denom)
+        stored += kept
     params = EstimatorParams(p, epsilon, T, l, master_seed)
-    return EstimateReport(Algorithm.ALG2_TWO_PASS, min(vals), params,
-                          meter.max_stored_edges, 2, vals, degenerate=(p == 1.0))
+    return EstimateReport(Algorithm.ALG2_TWO_PASS, min(vals), params, stored, 2,
+                          vals, degenerate=(p == 1.0))
 
 
-def alg2_one_pass_random(stream, p, l, master_seed, epsilon=None, T=None,
-                         meter=None):
-    """Min over l one-pass repetitions on a randomly ordered stream."""
+def alg2_one_pass_random(stream, p, l, master_seed, epsilon=None, T=None):
+    """Min over l one-pass repetitions on a randomly ordered stream; the
+    stored edges are the sum of all their samples."""
     p = check_probability(p)
     _require_random_order(stream, Algorithm.ALG2_ONE_PASS_RANDOM)
     l = _check_repetitions(l)
-    if meter is None:
-        meter = SpaceMeter()
     denom = p * p
-    vals = [_one_pass_count(stream, p, trial_rng(master_seed, i), meter,
-                            _one_pass_chunk_alg2) / denom
-            for i in range(l)]
+    vals = []
+    stored = 0
+    for i in range(l):
+        r, kept = _one_pass_count(stream, p, trial_rng(master_seed, i),
+                                  _one_pass_chunk_alg2)
+        vals.append(r / denom)
+        stored += kept
     params = EstimatorParams(p, epsilon, T, l, master_seed)
     return EstimateReport(Algorithm.ALG2_ONE_PASS_RANDOM, min(vals), params,
-                          meter.max_stored_edges, 1, vals, degenerate=(p == 1.0))
+                          stored, 1, vals, degenerate=(p == 1.0))

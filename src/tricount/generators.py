@@ -11,7 +11,8 @@ import numpy as np
 
 from .edgelist import _INT64_MAX
 from .graph import AdjacencyGraph, GraphError, count_triangles_exact
-from .stream import EdgeStream, Order, open_stream, _ExpanderSource, check_seed
+from .stream import (EdgeStream, Order, open_stream, _ExpanderSource, _rechunk,
+                     check_seed)
 
 
 class GeneratorError(ValueError):
@@ -121,26 +122,11 @@ def blow_up(source, T):
     oj = offsets_j.ravel()
 
     def expand_chunks(chunk_size):
-        # emit T^2 copies per input edge, regrouped into chunks of the
-        # requested size
-        bu = []
-        bv = []
-        size = 0
-        for U, V in base.iter_chunks():
-            eu = (U[:, None] * T + oi[None, :]).ravel()
-            ev = (V[:, None] * T + oj[None, :]).ravel()
-            bu.append(eu)
-            bv.append(ev)
-            size += eu.size
-            while size >= chunk_size:
-                cu = np.concatenate(bu)
-                cv = np.concatenate(bv)
-                yield cu[:chunk_size], cv[:chunk_size]
-                bu = [cu[chunk_size:]]
-                bv = [cv[chunk_size:]]
-                size = bu[0].size
-        if size:
-            yield np.concatenate(bu), np.concatenate(bv)
+        # T^2 copies per input edge, regrouped into chunks of the requested size
+        copies = (((U[:, None] * T + oi[None, :]).ravel(),
+                   (V[:, None] * T + oj[None, :]).ravel())
+                  for U, V in base.iter_chunks())
+        return _rechunk(copies, chunk_size)
 
     n_out = base.n * T if base.n is not None else None
     src = _ExpanderSource(base.m * T * T, expand_chunks, n=n_out, max_id=max_out)

@@ -1,4 +1,4 @@
-"""Replayable edge streams, pass-1 sampling, and space accounting.
+"""Replayable edge streams and seed derivation.
 
 An EdgeStream is a finite sequence of distinct edges that can be traversed
 any number of times; every traversal of the same instance yields the exact
@@ -27,7 +27,8 @@ import os
 import numpy as np
 
 from .graph import AdjacencyGraph, GraphError, DuplicateEdgeError
-from .edgelist import iter_edge_blocks, parse_edge_block, read_edge_arrays
+from .edgelist import (iter_edge_blocks, parse_edge_block, read_edge_arrays,
+                       _first_repeat)
 
 
 class SourceChangedError(OSError):
@@ -83,6 +84,13 @@ def bench_seed(master_seed, point_index, trial_index):
 _CHUNK_SIZE = 65536
 
 
+def _vertex_range(U, V):
+    """(vertex count, largest id) of the edges (U[i], V[i]); (0, None) when
+    there are none."""
+    verts = np.unique(np.concatenate((U, V)))
+    return int(verts.size), (int(verts[-1]) if verts.size else None)
+
+
 class _MemorySource:
     """Edges held as two int64 arrays."""
 
@@ -103,25 +111,16 @@ class _MemorySource:
 
     def scan(self):
         U, V = self.U, self.V
-        if U.size == 0:
-            return 0, None
         if (U == V).any():
             bad = int(U[(U == V).argmax()])
             raise GraphError("self-loop at vertex %d" % bad)
         if U.size and min(U.min(), V.min()) < 0:
             raise GraphError("vertex ids must be non-negative")
-        pairs = np.stack([np.minimum(U, V), np.maximum(U, V)], axis=1)
-        uniq = np.unique(pairs, axis=0)
-        if uniq.shape[0] != pairs.shape[0]:
-            # locate one duplicate for the message
-            seen = set()
-            for u, v in map(tuple, pairs):
-                if (u, v) in seen:
-                    raise DuplicateEdgeError("duplicate edge (%d, %d)" % (u, v))
-                seen.add((u, v))
-        n = int(np.unique(pairs).size)
-        max_id = int(pairs.max())
-        return n, max_id
+        lo, hi = np.minimum(U, V), np.maximum(U, V)
+        i = _first_repeat(lo, hi)
+        if i is not None:
+            raise DuplicateEdgeError("duplicate edge (%d, %d)" % (lo[i], hi[i]))
+        return _vertex_range(U, V)
 
 
 # lines read and parsed together by a random-order file pass
@@ -152,12 +151,7 @@ class _FileSource:
         self._stamp = self._stat()
         U, V, self._offsets = read_edge_arrays(self.path)
         self.m = int(U.size)
-        verts = np.unique(np.concatenate((U, V)))
-        return int(verts.size), (int(verts[-1]) if verts.size else None)
-
-    def _require_offsets(self):
-        if self._offsets is None:
-            self.scan()
+        return _vertex_range(U, V)
 
     def iter_chunks(self, chunk_size):
         if self._stat() != self._stamp:
@@ -171,7 +165,6 @@ class _FileSource:
             raise self._changed()
 
     def take(self, idx):
-        self._require_offsets()
         if self._stat() != self._stamp:
             raise self._changed()
         off = self._offsets[idx]
@@ -314,67 +307,3 @@ def open_stream(source, order=Order.AS_GIVEN, seed=0, validate=True):
             if src.m:
                 max_id = int(max(src.U.max(), src.V.max()))
     return EdgeStream(src, order=order, seed=seed, n=n, max_vertex_id=max_id)
-
-
-class SpaceMeter:
-    """Counts stored edges in words; max is monotone over a run.
-
-    Repetitions of one run share a meter and only ever add, so its final
-    maximum is the sum of the per-repetition sample sizes.
-    """
-
-    def __init__(self):
-        self.current_stored_edges = 0
-        self.max_stored_edges = 0
-
-    def add(self, k):
-        self.current_stored_edges += int(k)
-        if self.current_stored_edges > self.max_stored_edges:
-            self.max_stored_edges = self.current_stored_edges
-
-    def release(self, k):
-        self.current_stored_edges -= int(k)
-        if self.current_stored_edges < 0:
-            raise ValueError("released more edges than were stored")
-
-
-class SampledGraph:
-    """Subgraph kept by one sampling pass."""
-
-    def __init__(self, graph, p):
-        self.graph = graph
-        self.p = p
-
-    @property
-    def sampled_count(self):
-        return self.graph.edge_count
-
-    def __repr__(self):
-        return "SampledGraph(p=%.4f, edges=%d)" % (self.p, self.sampled_count)
-
-
-def check_probability(p, allow_one=True):
-    p = float(p)
-    ok = 0.0 < p <= 1.0 if allow_one else 0.0 < p < 1.0
-    if not ok:
-        raise ValueError("p must lie in %s, got %r" %
-                         ("(0, 1]" if allow_one else "(0, 1)", p))
-    return p
-
-
-def sample_pass(stream, p, rng, meter=None):
-    """One pass that keeps each edge independently with probability p.
-
-    The coins come from `rng` in stream order, one uniform draw per edge,
-    so a fresh generator seeded the same way reproduces the sample exactly.
-    """
-    p = check_probability(p)
-    g = AdjacencyGraph()
-    for U, V in stream.iter_chunks():
-        keep = rng.random(U.size) < p
-        ku = U[keep]
-        kv = V[keep]
-        g._bulk_add_unchecked(zip(ku.tolist(), kv.tolist()))
-        if meter is not None:
-            meter.add(int(keep.sum()))
-    return SampledGraph(g, p)

@@ -250,12 +250,35 @@ def test_bench_row_equals_estimate(planted_file, alg, extra):
     assert int(row["max_stored_edges"]) == d["max_stored_edges"]
 
 
-def test_workers_flag_is_gone(planted_file):
+def assert_flag_is_gone(planted_file, flag, value):
     for cmd in ("estimate", "bench"):
         r = run_cli(cmd, "alg2", "--input", planted_file, "--p", "0.4",
-                    "--workers", "2")
+                    flag, value)
         assert r.returncode == 2
-        assert "--workers" in r.stderr
+        assert flag in r.stderr
+
+
+def test_workers_flag_is_gone(planted_file):
+    assert_flag_is_gone(planted_file, "--workers", "2")
+
+
+def test_engine_flag_is_gone(planted_file):
+    assert_flag_is_gone(planted_file, "--engine", "sets")
+
+
+def test_bench_derives_p_like_estimate(tmp_path):
+    empty = tmp_path / "empty.el"
+    empty.write_text("")
+    triangle = tmp_path / "triangle.el"
+    triangle.write_text("0 1\n1 2\n0 2\n")
+    for cmd, extra in (("estimate", ()), ("bench", ("--trials", "1"))):
+        r = run_cli(cmd, "alg1", "--input", str(empty), "--T", "5", *extra)
+        assert r.returncode == 2
+        assert "cannot derive p: the input has fewer than 2 vertices" in r.stderr
+        assert r.stdout == ""
+        r = run_cli(cmd, "alg1", "--input", str(triangle), "--T", "1", *extra)
+        assert r.returncode == 0
+        assert "warning: derived p hit its cap (0.99)" in r.stderr
 
 
 def test_bench_oracle_budget(planted_file):

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tricount import (open_stream, Order, SpaceMeter, gen_complete,
+from tricount import (open_stream, Order, gen_complete,
                       gen_planted, gen_tripartite, count_triangles_exact,
                       choose_p_alg1, choose_p_alg2, choose_repetitions,
                       alg1_two_pass, alg1_one_pass_random, alg2_two_pass,
                       alg2_one_pass_random, AdjacencyGraph, write_edge_list)
+from tricount import estimators
 from tricount.estimators import (alg1_pass2_count, alg2_detected_count,
                                  alg1_one_pass_count, alg2_one_pass_count,
-                                 _pick_engine, _DENSE_FORCE_MAX_N)
+                                 _dense_fits)
+from tricount.graph import _DENSE_MAX_N
 from tricount.stream import sampler_rng, order_rng, trial_rng
 
 from conftest import path_graph
@@ -85,8 +87,10 @@ def test_alg1_one_pass_matches_core():
         rep = alg1_one_pass_random(stream, p, seed)
         perm = order_rng(seed).permutation(len(edges))
         ordered = [edges[i] for i in perm]
-        s = alg1_one_pass_count(ordered, coins(seed, len(edges), p))
+        keep = coins(seed, len(edges), p)
+        s = alg1_one_pass_count(ordered, keep)
         assert rep.estimate == s / (p * p * (1 - p))
+        assert rep.max_stored_edges == sum(keep)
 
 
 def test_alg2_one_pass_matches_core():
@@ -131,6 +135,18 @@ def test_alg1_rejects_degenerate_p():
             alg1_two_pass(stream, bad, 0)
 
 
+def test_bad_p_is_rejected():
+    stream = open_stream(gen_complete(4))
+    rstream = open_stream(gen_complete(4), order=Order.RANDOM_PERMUTATION, seed=1)
+    for bad in (0.0, -0.2, 1.5):
+        for run in (lambda: alg1_two_pass(stream, bad, 0),
+                    lambda: alg1_one_pass_random(rstream, bad, 0),
+                    lambda: alg2_two_pass(stream, bad, 2, 0),
+                    lambda: alg2_one_pass_random(rstream, bad, 2, 0)):
+            with pytest.raises(ValueError, match="p must lie in"):
+                run()
+
+
 def test_alg1_triangle_free_is_zero():
     stream = open_stream(path_graph(20))
     for seed in range(5):
@@ -154,10 +170,13 @@ def test_alg2_exact_at_p1():
         assert rep.estimate == t
         assert rep.per_trial_estimates == [t] * 5
         assert rep.degenerate
+        # p = 1 keeps every edge in every repetition
+        assert rep.max_stored_edges == 5 * stream.m
         rstream = open_stream(g, order=Order.RANDOM_PERMUTATION, seed=2)
         rep1 = alg2_one_pass_random(rstream, 1.0, 3, 0)
         assert rep1.estimate == t
         assert rep1.degenerate
+        assert rep1.max_stored_edges == 3 * stream.m
 
 
 def test_alg2_triangle_free_is_zero():
@@ -182,46 +201,49 @@ def random_dense_graph(n, p_edge, seed):
                           if rng.random() < p_edge)
 
 
+def force_engine(monkeypatch, engine):
+    monkeypatch.setattr(estimators, "_dense_fits", lambda stream, p: engine == "dense")
+
+
 def test_engine_choice():
     big = open_stream(gen_complete(60))  # m=1770, nmax=60
-    assert _pick_engine("auto", big, 0.5) == "dense"
+    assert _dense_fits(big, 0.5)
     sparse = open_stream(path_graph(500))
-    assert _pick_engine("auto", sparse, 0.2) == "sets"
-    assert _pick_engine("sets", big, 0.5) == "sets"
-    with pytest.raises(ValueError):
-        _pick_engine("fast", big, 0.5)
+    assert not _dense_fits(sparse, 0.2)
+    # K_{10,2038} fills vertex ids 0.._DENSE_MAX_N-1 densely enough; one
+    # more edge to id _DENSE_MAX_N puts the matrix past its limit
+    edges = [(u, v) for u in range(10) for v in range(10, _DENSE_MAX_N)]
+    assert _dense_fits(open_stream(edges), 1.0)
+    assert not _dense_fits(open_stream(edges + [(0, _DENSE_MAX_N)]), 1.0)
 
 
-def test_engines_agree_exactly():
+def test_engines_agree_exactly(monkeypatch):
     for seed in range(5):
         g = random_dense_graph(50, 0.4, seed)
         stream = open_stream(g)
         for p in (0.3, 0.7, 1.0):
-            a = alg2_two_pass(stream, p, 3, seed, engine="dense")
-            b = alg2_two_pass(stream, p, 3, seed, engine="sets")
+            force_engine(monkeypatch, "dense")
+            a = alg2_two_pass(stream, p, 3, seed)
+            force_engine(monkeypatch, "sets")
+            b = alg2_two_pass(stream, p, 3, seed)
             assert a.per_trial_estimates == b.per_trial_estimates
             assert a.estimate == b.estimate
             assert a.max_stored_edges == b.max_stored_edges
 
 
-def test_alg1_engines_agree_exactly(tmp_path):
+def test_alg1_engines_agree_exactly(tmp_path, monkeypatch):
     for seed in range(4):
         g = random_dense_graph(40, 0.4, seed)
         f = tmp_path / ("g%d.el" % seed)
         write_edge_list(f, g.edges())
         for stream in (open_stream(g), open_stream(f)):
             for p in (0.1, 0.3, 0.7):
-                a = alg1_two_pass(stream, p, seed, engine="dense")
-                b = alg1_two_pass(stream, p, seed, engine="sets")
+                force_engine(monkeypatch, "dense")
+                a = alg1_two_pass(stream, p, seed)
+                force_engine(monkeypatch, "sets")
+                b = alg1_two_pass(stream, p, seed)
                 assert a.estimate == b.estimate
                 assert a.max_stored_edges == b.max_stored_edges
-
-
-def test_alg1_dense_needs_small_vertex_range():
-    stream = open_stream([(0, 1), (1, _DENSE_FORCE_MAX_N)])
-    with pytest.raises(ValueError):
-        alg1_two_pass(stream, 0.5, 0, engine="dense")
-    assert alg1_two_pass(stream, 0.5, 0, engine="sets").estimate == 0.0
 
 
 small_graphs = st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11))
@@ -232,6 +254,8 @@ small_graphs = st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11))
 @settings(max_examples=60, deadline=None)
 @given(small_graphs, st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 2**32))
 def test_alg1_engines_match_oracle(tmp_path_factory, edges, p, seed):
+    # hypothesis would share a function-scoped monkeypatch fixture between
+    # its examples, so each engine is forced in a context of its own
     keep = sampler_rng(seed).random(len(edges)) < p
     adj = oracles._adj_from_edges(e for e, k in zip(edges, keep) if k)
     s = sum(len(adj.get(u, set()) & adj.get(v, set()))
@@ -240,7 +264,9 @@ def test_alg1_engines_match_oracle(tmp_path_factory, edges, p, seed):
     write_edge_list(f, edges)
     for stream in (open_stream(edges), open_stream(f)):
         for engine in ("dense", "sets"):
-            rep = alg1_two_pass(stream, p, seed, engine=engine)
+            with pytest.MonkeyPatch.context() as mp:
+                force_engine(mp, engine)
+                rep = alg1_two_pass(stream, p, seed)
             assert rep.estimate == s / (3.0 * p * p * (1.0 - p))
             assert rep.max_stored_edges == int(keep.sum())
 

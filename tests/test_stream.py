@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from tricount import (open_stream, Order, SpaceMeter, sample_pass,
+from tricount import (open_stream, Order,
                       order_rng, sampler_rng, trial_rng, SourceChangedError,
                       EdgeListParseError, DuplicateEdgeError, gen_complete)
 from tricount import cli
@@ -82,6 +82,12 @@ def test_open_stream_validation(tmp_path):
     f2.write_text("0 1\n1 1\n")
     with pytest.raises(EdgeListParseError):
         open_stream(f2)
+    # both sources name the first repeat in input order, not the smallest
+    edges = [(0, 1), (2, 3), (3, 2), (1, 0)]
+    with pytest.raises(DuplicateEdgeError, match=r"duplicate edge \(2, 3\)$"):
+        open_stream(edges)
+    with pytest.raises(EdgeListParseError, match=r"line 3: duplicate edge \(2, 3\)$"):
+        open_stream(write_el(tmp_path, edges, "dup.el"))
 
 
 EDGES10 = [(i, i + 1) for i in range(10)]
@@ -147,22 +153,6 @@ def test_order_validation():
         check_seed(-1)
 
 
-def test_sample_pass_p1_keeps_everything():
-    s = open_stream(gen_complete(5))
-    meter = SpaceMeter()
-    sg = sample_pass(s, 1.0, sampler_rng(0), meter)
-    assert sg.sampled_count == 10
-    assert meter.max_stored_edges == 10
-    assert sg.graph.edges() == gen_complete(5).edges()
-
-
-def test_sample_pass_rejects_bad_p():
-    s = open_stream(EDGES3)
-    for bad in (0.0, -0.2, 1.5):
-        with pytest.raises(ValueError):
-            sample_pass(s, bad, sampler_rng(0))
-
-
 def test_sample_pass_binomial_mean():
     m = 1000
     edges = [(i, i + 1) for i in range(m)]
@@ -176,14 +166,6 @@ def test_sample_pass_binomial_mean():
         total += keep_counts
     mean = total / trials
     assert abs(mean - 500) <= 4 * math.sqrt(250)
-
-
-def test_sample_pass_meter_matches_sample():
-    s = open_stream(gen_complete(30))
-    for seed in range(5):
-        meter = SpaceMeter()
-        sg = sample_pass(s, 0.3, sampler_rng(seed), meter)
-        assert meter.max_stored_edges == sg.sampled_count
 
 
 def test_sampling_pairwise_independence():
@@ -213,15 +195,3 @@ def test_seed_domains_are_separated():
     # and each is reproducible
     assert np.array_equal(a, order_rng(42).random(8))
     assert np.array_equal(c, trial_rng(42, 0).random(8))
-
-
-def test_space_meter():
-    meter = SpaceMeter()
-    meter.add(5)
-    meter.add(3)
-    meter.release(4)
-    meter.add(1)
-    assert meter.current_stored_edges == 5
-    assert meter.max_stored_edges == 8
-    with pytest.raises(ValueError):
-        meter.release(100)
