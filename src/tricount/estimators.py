@@ -32,7 +32,7 @@ one uniform per edge in stream order.  alg1 and every alg2 repetition run
 one two-pass core, `_two_pass_counts`, on one of two engines that give the
 same integers: neighbour sets, or a float32 adjacency matrix squared by the
 exact oracle's BLAS kernel.  The engine follows from the input alone
-(`_dense_fits`: a small vertex range and a sample that is not sparse).
+(`_dense_fits`: a small vertex range and a sample dense enough).
 alg1-rand and every alg2-rand repetition run one single-pass loop,
 `_one_pass_count`, with the chunk kernel of their algorithm.  Each pass
 counts the edges it keeps; a report's max_stored_edges is their sum over
@@ -286,10 +286,13 @@ def _coins(stream, p, rng):
 
 def _dense_fits(stream, p):
     """The dense engine pays off when the matrix is small and the sample
-    is not sparse."""
+    fills at least 1/128 of it.  With one BLAS thread at p = 0.3, dense
+    overtakes sets at p*m of about 1.5, 4-5, 7 and 12-13 times n+1 for
+    n = 256, 512, 1024 and 2048: the crossover grows with n, and
+    (n+1)^2 / 128 lies at or just past each of them."""
     nmax = stream.max_vertex_id
     return (nmax is not None and nmax + 1 <= _DENSE_MAX_N
-            and p * stream.m >= 8.0 * (nmax + 1))
+            and p * stream.m >= (nmax + 1) ** 2 / 128.0)
 
 
 def _two_pass_counts(stream, p, make_rng, census):

@@ -8,12 +8,14 @@ drawn once at construction from a seed, never redrawn between passes.
 Streams over files do not load the edge list into memory during passes;
 they parse the file a block of lines at a time and yield chunks of 65536
 edges.  Opening a file stream always scans the whole file once, because
-the scan gives m and the line offsets that random-order passes seek to:
+the scan gives m and the line offsets that random-order passes read from:
 it rejects malformed lines, and finds repeated edges with one sort of the
-endpoint arrays.  `validate=False`
-skips the duplicate check of in-memory sources only.  The scan also
-records the file's size and modification time; a pass over a file whose
-size or time has changed since, or an as-given pass that does not yield m
+endpoint arrays.  A random-order pass sorts each chunk's line offsets and
+reads those lines in file order, in runs of nearby lines with one read
+call per run, then puts the edges back in the permutation's order.
+`validate=False` skips the duplicate check of in-memory sources only.  The
+scan also records the file's size and modification time; a pass over a
+file whose size or time has changed since, or a pass that does not find m
 edges, raises SourceChangedError.
 
 Randomness is split by purpose.  The permutation, the sampling coins and
@@ -123,8 +125,36 @@ class _MemorySource:
         return _vertex_range(U, V)
 
 
-# lines read and parsed together by a random-order file pass
-_TAKE_LINES = 4096
+# A random-order pass reads a chunk's lines in file order, in runs: a
+# selected line joins the current run when it starts at most _TAKE_GAP
+# bytes after the previous one and the run still spans at most _TAKE_BYTES
+# bytes.  Reading a page costs about as much as one read call, so the bytes
+# read per selected line stay bounded.  The selected lines are parsed about
+# _TAKE_BYTES of text at a time, which bounds a pass's transient memory.
+_TAKE_GAP = 4096
+_TAKE_BYTES = 1 << 16
+
+
+def _runs(off):
+    """Yield (i, j) for each run off[i:j] of the sorted line offsets `off`."""
+    cuts = (np.flatnonzero(np.diff(off) > _TAKE_GAP) + 1).tolist() + [off.size]
+    i = 0
+    for cut in cuts:
+        while i < cut:
+            j = min(cut, int(np.searchsorted(off, off[i] + _TAKE_BYTES, "right")))
+            yield i, j
+            i = j
+
+
+def _gather_lines(run, starts):
+    """The bytes of the lines of `run` that start at `starts`, each with its
+    newline, in one buffer; `run` ends with a newline."""
+    buf = np.frombuffer(run, dtype=np.uint8)
+    newlines = np.flatnonzero(buf == ord("\n"))
+    lens = newlines[np.searchsorted(newlines, starts)] + 1 - starts
+    at = np.cumsum(lens) - lens  # where each line goes in the gathered buffer
+    pos = np.arange(at[-1] + lens[-1]) + np.repeat(starts - at, lens)
+    return buf[pos].tobytes()
 
 
 class _FileSource:
@@ -165,21 +195,31 @@ class _FileSource:
             raise self._changed()
 
     def take(self, idx):
+        """Endpoint arrays of the edges whose positions in file order are
+        `idx`, in the order of `idx`."""
         if self._stat() != self._stamp:
             raise self._changed()
         off = self._offsets[idx]
-        bu = np.empty(off.size, dtype=np.int64)
-        bv = np.empty(off.size, dtype=np.int64)
+        order = np.argsort(off)
+        off = off[order]
+        U = np.empty(off.size, dtype=np.int64)
+        V = np.empty(off.size, dtype=np.int64)
+        lines, parsed, size = [], 0, 0
         with open(self.path, "rb") as f:
-            for s in range(0, off.size, _TAKE_LINES):
-                lines = []
-                for o in off[s:s + _TAKE_LINES].tolist():
-                    f.seek(o)
-                    lines.append(f.readline())
-                # the file's last line may lack its newline; blank lines are skipped
-                k = len(lines)
-                bu[s:s + k], bv[s:s + k] = parse_edge_block(b"\n".join(lines))
-        return bu, bv
+            for i, j in _runs(off):
+                f.seek(off[i])
+                run = f.read(off[j - 1] - off[i]) + f.readline()
+                if not run.endswith(b"\n"):  # the file's last line may lack it
+                    run += b"\n"
+                lines.append(_gather_lines(run, off[i:j] - off[i]))
+                size += len(lines[-1])
+                if size >= _TAKE_BYTES or j == off.size:
+                    ru, rv = parse_edge_block(b"".join(lines))
+                    if ru.size != j - parsed:  # a line no longer holds one edge
+                        raise self._changed()
+                    U[order[parsed:j]], V[order[parsed:j]] = ru, rv
+                    lines, parsed, size = [], j, 0
+        return U, V
 
 
 def _rechunk(pairs, chunk_size):

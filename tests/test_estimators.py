@@ -210,9 +210,14 @@ def test_engine_choice():
     assert _dense_fits(big, 0.5)
     sparse = open_stream(path_graph(500))
     assert not _dense_fits(sparse, 0.2)
-    # K_{10,2038} fills vertex ids 0.._DENSE_MAX_N-1 densely enough; one
+    # 256 edges on ids 0..127: p*m reaches 128^2 / 128 at p = 0.5
+    edges = [(u, v) for u in range(2) for v in range(2, 128)]
+    edges += [(2, 3), (4, 5), (6, 7), (8, 9)]
+    assert _dense_fits(open_stream(edges), 0.5)
+    assert not _dense_fits(open_stream(edges), 0.498)
+    # K_{20,2028} fills vertex ids 0.._DENSE_MAX_N-1 densely enough; one
     # more edge to id _DENSE_MAX_N puts the matrix past its limit
-    edges = [(u, v) for u in range(10) for v in range(10, _DENSE_MAX_N)]
+    edges = [(u, v) for u in range(20) for v in range(20, _DENSE_MAX_N)]
     assert _dense_fits(open_stream(edges), 1.0)
     assert not _dense_fits(open_stream(edges + [(0, _DENSE_MAX_N)]), 1.0)
 

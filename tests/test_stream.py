@@ -4,12 +4,16 @@ import os
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from tricount import (open_stream, Order,
                       order_rng, sampler_rng, trial_rng, SourceChangedError,
                       EdgeListParseError, DuplicateEdgeError, gen_complete)
-from tricount import cli
-from tricount.stream import check_seed
+from tricount import cli, stream
+from tricount.estimators import _coins
+from tricount.stream import check_seed, _runs
+
+from conftest import path_graph
 
 
 EDGES3 = [(0, 1), (1, 2), (2, 3)]
@@ -120,6 +124,18 @@ def test_given_pass_checks_edge_count(tmp_path):
         list(s.iter_edges())
 
 
+def test_random_pass_checks_edge_lines(tmp_path):
+    # same size and modification time, one edge line now a comment
+    f = write_el(tmp_path, EDGES10)
+    st = os.stat(f)
+    s = open_stream(f, order=Order.RANDOM_PERMUTATION, seed=1)
+    f.write_text(f.read_text().replace("4 5\n", "#  \n"))
+    os.utime(f, ns=(st.st_atime_ns, st.st_mtime_ns))
+    assert os.stat(f).st_size == st.st_size
+    with pytest.raises(SourceChangedError):
+        list(s.iter_edges())
+
+
 @pytest.mark.parametrize("algorithm", ["alg1", "alg1-rand"])
 def test_cli_exits_1_when_file_changes(tmp_path, monkeypatch, capsys, algorithm):
     f = write_el(tmp_path, EDGES10)
@@ -153,19 +169,19 @@ def test_order_validation():
         check_seed(-1)
 
 
-def test_sample_pass_binomial_mean():
-    m = 1000
-    edges = [(i, i + 1) for i in range(m)]
-    s = open_stream(edges)
-    p = 0.5
+def test_coins_binomial_mean():
+    # the edges kept over many passes of the estimators' coins are
+    # Binomial(passes * m, p)
+    m, p, passes = 1000, 0.5, 10_000
+    s = open_stream(path_graph(m))
     rng = sampler_rng(123)
-    total = 0
-    trials = 10_000
-    for _ in range(trials):
-        keep_counts = int((rng.random(m) < p).sum())
-        total += keep_counts
-    mean = total / trials
-    assert abs(mean - 500) <= 4 * math.sqrt(250)
+    kept = 0
+    for _ in range(passes):
+        for U, _V, keep in _coins(s, p, rng):
+            assert keep.size == U.size
+            kept += int(keep.sum())
+    n = passes * m
+    assert abs(kept - n * p) <= 4 * math.sqrt(n * p * (1 - p))
 
 
 def test_sampling_pairwise_independence():
@@ -195,3 +211,61 @@ def test_seed_domains_are_separated():
     # and each is reproducible
     assert np.array_equal(a, order_rng(42).random(8))
     assert np.array_equal(c, trial_rng(42, 0).random(8))
+
+
+def test_runs_cut_at_gaps_and_span(monkeypatch):
+    monkeypatch.setattr(stream, "_TAKE_GAP", 10)
+    monkeypatch.setattr(stream, "_TAKE_BYTES", 20)
+    off = np.array([0, 5, 10, 15, 20, 25, 38, 40, 43])
+    # 25 is more than 20 bytes past 0, where its run would start; 38 is
+    # within 20 bytes of 25 but more than 10 past it
+    assert list(_runs(off)) == [(0, 5), (5, 6), (6, 9)]
+    assert list(_runs(off[:0])) == []
+
+
+LONG_COMMENT = "#" + "x" * 5000  # longer than the gap a run may span
+FILL = ["", "# comment", "  # indented", "\t", LONG_COMMENT]
+ids = st.one_of(st.integers(0, 40), st.integers(10**18, 2**63 - 1))  # 19 digits
+
+
+@st.composite
+def edge_files(draw):
+    """(bytes, edges): distinct edges written with tabs and CRLF line ends,
+    among comments (one may pass 4 KiB) and blank lines, possibly with no
+    final newline."""
+    pairs = draw(st.lists(st.tuples(ids, ids).filter(lambda e: e[0] != e[1]),
+                          unique_by=lambda e: (min(e), max(e)), min_size=1, max_size=50))
+    lines = []
+    for u, v in pairs:
+        lines.extend(draw(st.lists(st.sampled_from(FILL), max_size=2)))
+        lines.append("%d%s%d" % (u, draw(st.sampled_from([" ", "\t", " \t "])), v))
+    lines.extend(draw(st.lists(st.sampled_from(FILL), max_size=2)))
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text.encode(), [(min(e), max(e)) for e in pairs]
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_files(), st.integers(0, 2**32),
+       st.sampled_from([(None, None), (1, 1), (16, 64), (200, 100)]))
+def test_random_file_pass_matches_memory(tmp_path_factory, case, seed, limits):
+    data, edges = case
+    f = tmp_path_factory.mktemp("take") / "g.el"
+    f.write_bytes(data)
+    gap, size = limits
+    # hypothesis would share a function-scoped monkeypatch fixture between
+    # its examples
+    with pytest.MonkeyPatch.context() as mp:
+        if gap is not None:
+            mp.setattr(stream, "_TAKE_GAP", gap)
+            mp.setattr(stream, "_TAKE_BYTES", size)
+        sf = open_stream(f, order=Order.RANDOM_PERMUTATION, seed=seed)
+        sm = open_stream(edges, order=Order.RANDOM_PERMUTATION, seed=seed)
+        for cs in (1, 7, 65536):
+            got = list(sf.iter_chunks(cs))
+            want = list(sm.iter_chunks(cs))
+            assert len(got) == len(want)
+            for (fu, fv), (mu, mv) in zip(got, want):
+                assert fu.dtype == np.int64 and fv.dtype == np.int64
+                assert np.array_equal(fu, mu) and np.array_equal(fv, mv)
