@@ -15,8 +15,7 @@ import argparse
 import sys
 import time
 
-from .edgelist import (EdgeListParseError, read_edge_arrays, read_edge_list,
-                       write_edge_list)
+from .edgelist import EdgeListParseError, read_edge_arrays, write_edge_list
 from .graph import (AdjacencyGraph, DuplicateEdgeError, GraphError,
                     count_triangles_exact, triangle_stats, _dense_eligible)
 from .stream import Order, open_stream, order_rng, bench_seed
@@ -49,6 +48,16 @@ def _summary_count(g):
     if _dense_eligible(g) or g.edge_count <= _SUMMARY_SETS_MAX_M:
         return count_triangles_exact(g)
     return None
+
+
+def _read_graph(path):
+    """(graph, U, V) of an edge list file: the file's edges in file order
+    as endpoint arrays, and the graph they make.  The read validates every
+    edge, so the graph is built without checks."""
+    U, V, _ = read_edge_arrays(path)
+    g = AdjacencyGraph()
+    g._bulk_add_unchecked(zip(U.tolist(), V.tolist()))
+    return g, U, V
 
 
 def _parse_bits(s, name):
@@ -84,11 +93,9 @@ def _cmd_gen(args):
             edges = [edges[i] for i in perm]
         m = write_edge_list(args.out, edges)
         n = out.n if out.n is not None else "?"
-        g2 = None
+        t = None
         if m <= _SUMMARY_SETS_MAX_M:
-            g2 = AdjacencyGraph()
-            g2._bulk_add_unchecked(read_edge_list(args.out))
-        t = _summary_count(g2) if g2 is not None else None
+            t = _summary_count(_read_graph(args.out)[0])
         print("wrote %s: n=%s m=%d%s" % (args.out, n, m,
                                          "" if t is None else " t=%d" % t))
         return 0
@@ -123,9 +130,7 @@ def _cmd_gen(args):
 # exact
 
 def _cmd_exact(args):
-    U, V, _ = read_edge_arrays(args.input)
-    g = AdjacencyGraph()
-    g._bulk_add_unchecked(zip(U.tolist(), V.tolist()))
+    g, U, V = _read_graph(args.input)
     del U, V  # the count below sets the peak memory; free the arrays first
     if args.stats:
         st = triangle_stats(g)
@@ -257,9 +262,7 @@ def _cmd_bench(args):
     if (args.input is None) == (args.gen is None):
         raise ParamError("bench needs exactly one of --input or --gen")
     if args.input is not None:
-        U, V, _ = read_edge_arrays(args.input)
-        g = AdjacencyGraph()
-        g._bulk_add_unchecked(zip(U.tolist(), V.tolist()))
+        g, U, V = _read_graph(args.input)
     else:
         g = _parse_gen_spec(args.gen)
         U, V = g.edge_arrays()

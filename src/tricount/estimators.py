@@ -34,9 +34,13 @@ same integers: neighbour sets, or a float32 adjacency matrix squared by the
 exact oracle's BLAS kernel.  The engine follows from the input alone
 (`_dense_fits`: a small vertex range and a sample dense enough).
 alg1-rand and every alg2-rand repetition run one single-pass loop,
-`_one_pass_count`, with the chunk kernel of their algorithm.  Each pass
-counts the edges it keeps; a report's max_stored_edges is their sum over
-the repetitions, since a run holds all its samples at once.
+`_one_pass_count`.  Every neighbour-set count goes through one kernel,
+`_count_and_add`: it walks edges in order, counts a dropped edge's common
+sampled neighbours and adds a kept edge to the sample.  alg2's census (the
+sample's own triangles) is counted as the kept edges arrive, each
+triangle once, at its last edge; alg1 skips it.  Each pass counts the
+edges it keeps; a report's max_stored_edges is their sum over the
+repetitions, since a run holds all its samples at once.
 
 Repetition i draws its coins from trial_rng(master_seed, i) alone, so an
 l-repetition run reports exactly the l independent repetitions.
@@ -45,11 +49,11 @@ l-repetition run reports exactly the l independent repetitions.
 import json
 import math
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 
-from .graph import (AdjacencyGraph, count_triangles_exact, _dense_kernel,
-                    _DENSE_MAX_N)
+from .graph import _dense_kernel, _DENSE_MAX_N
 from .stream import Order, sampler_rng, trial_rng
 
 
@@ -175,101 +179,78 @@ def choose_repetitions(epsilon):
 
 
 # ---------------------------------------------------------------------------
-# shared inner loops, also driven exhaustively by the test oracles
+# the one counting kernel, also driven exhaustively by the test oracles
 
-def _closures(adj, pairs):
-    """Pass-2 counting: the triangles the edges `pairs` close in adj."""
-    s = 0
-    get = adj.get
-    for u, v in pairs:
-        nu = get(u)
-        if not nu:
-            continue
-        nv = get(v)
-        if nv:
-            s += len(nu & nv)
-    return s
+def _count_and_add(adj, us, vs, keeps, census):
+    """Walk the edges (us[i], vs[i]) in order against the sample `adj`, a
+    dict of neighbour sets.  A dropped edge adds its endpoints' common
+    sampled neighbours to s; a kept edge joins the sample, after adding
+    that same count to t when `census` is true.  Returns (s, t).
 
-
-def _one_pass_chunk_alg1(adj, us, vs, keeps):
-    """Kept edges grow the sample; dropped edges are counted against it."""
-    s = 0
+    Each triangle of the sample is counted in t once, when its last edge
+    arrives, so t summed over the kept edges is the sample's triangle
+    count."""
+    s = t = 0
     get = adj.get
     for u, v, k in zip(us, vs, keeps):
+        nu = get(u)
         if k:
-            if u in adj:
-                adj[u].add(v)
-            else:
+            nv = get(v)
+            if nu is None:
                 adj[u] = {v}
-            if v in adj:
-                adj[v].add(u)
             else:
+                if census and nv:
+                    t += len(nu & nv)
+                nu.add(v)
+            if nv is None:
                 adj[v] = {u}
-        else:
-            nu = get(u)
-            if nu:
-                nv = get(v)
-                if nv:
-                    s += len(nu & nv)
-    return s
-
-
-def _one_pass_chunk_alg2(adj, us, vs, keeps):
-    """Every arriving edge is counted against the sample, then maybe added."""
-    s = 0
-    get = adj.get
-    for u, v, k in zip(us, vs, keeps):
-        nu = get(u)
-        if nu:
+            else:
+                nv.add(u)
+        elif nu:
             nv = get(v)
             if nv:
                 s += len(nu & nv)
-        if k:
-            if u in adj:
-                adj[u].add(v)
-            else:
-                adj[u] = {v}
-            if v in adj:
-                adj[v].add(u)
-            else:
-                adj[v] = {u}
-    return s
+    return s, t
 
 
-def _build_sample(edges, keep):
-    g = AdjacencyGraph()
-    g._bulk_add_unchecked(e for e, k in zip(edges, keep) if k)
-    return g
+def _sample_then_closures(edges, keep, census):
+    """Both passes of the two-pass core on an explicit edge list and keep
+    mask: the kept edges build the sample, then the dropped ones count the
+    triangles they close against it.  Returns that sum, plus the sample's
+    own triangle count when `census`."""
+    adj = {}
+    kept = [e for e, k in zip(edges, keep) if k]
+    dropped = [e for e, k in zip(edges, keep) if not k]
+    _, t = _count_and_add(adj, [u for u, _ in kept], [v for _, v in kept],
+                          repeat(True), census)
+    s, _ = _count_and_add(adj, [u for u, _ in dropped], [v for _, v in dropped],
+                          repeat(False), False)
+    return t + s
 
 
 def alg1_pass2_count(edges, keep):
     """Two-pass counter s for an explicit edge list and keep mask."""
-    g = _build_sample(edges, keep)
-    return _closures(g.adj, (e for e, k in zip(edges, keep) if not k))
+    return _sample_then_closures(edges, keep, census=False)
 
 
 def alg2_detected_count(edges, keep):
     """Repetition count r: triangles inside the sample plus triangles whose
     third edge streams by unkept."""
-    g = _build_sample(edges, keep)
-    dropped = (e for e, k in zip(edges, keep) if not k)
-    return count_triangles_exact(g) + _closures(g.adj, dropped)
+    return _sample_then_closures(edges, keep, census=True)
 
 
 def alg1_one_pass_count(edges_in_order, keep):
     """Single-pass counter s for an explicit arrival order and keep mask."""
-    adj = {}
     us = [e[0] for e in edges_in_order]
     vs = [e[1] for e in edges_in_order]
-    return _one_pass_chunk_alg1(adj, us, vs, keep)
+    return _count_and_add({}, us, vs, keep, census=False)[0]
 
 
 def alg2_one_pass_count(edges_in_order, keep):
     """Single-pass repetition count r for an explicit arrival order and mask."""
-    adj = {}
     us = [e[0] for e in edges_in_order]
     vs = [e[1] for e in edges_in_order]
-    return _one_pass_chunk_alg2(adj, us, vs, keep)
+    return sum(_count_and_add({}, us, vs, keep, census=True))
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +279,14 @@ def _dense_fits(stream, p):
 def _two_pass_counts(stream, p, make_rng, census):
     """Pass 1 keeps each edge with probability p on the coins of a fresh
     make_rng(); pass 2 redraws the same coins and sums, over the edges not
-    kept, the triangles each closes against the sample.  Returns (t_in, s,
-    kept): the sample's own triangle count (None unless `census`), that
-    sum, and the number of kept edges.  When `_dense_fits`, each closure
-    count is read off A @ A for the sample's float32 adjacency matrix A,
-    otherwise off neighbour sets; the sums are exact either way, so both
-    engines return the same integers.
+    kept, the triangles each closes against the sample.  Returns (count,
+    kept): that sum, plus the sample's own triangle count when `census`,
+    and the number of kept edges.  When `_dense_fits`, each closure count
+    is read off A @ A for the sample's float32 adjacency matrix A,
+    otherwise the neighbour-set kernel `_count_and_add` builds the sample
+    (counting its triangles as their last edges arrive) and counts the
+    closures; the sums are exact either way, so both engines return the
+    same integers.
     """
     kept = 0
     if _dense_fits(stream, p):
@@ -319,33 +302,36 @@ def _two_pass_counts(stream, p, make_rng, census):
         def closes(U, V):
             return int(common[U, V].sum(dtype=np.float64))
     else:
-        sample = AdjacencyGraph()
+        adj = {}
+        t_in = 0
         for U, V, keep in _coins(stream, p, make_rng()):
             ku, kv = U[keep], V[keep]
-            sample._bulk_add_unchecked(zip(ku.tolist(), kv.tolist()))
+            t_in += _count_and_add(adj, ku.tolist(), kv.tolist(), repeat(True),
+                                   census)[1]
             kept += ku.size
-        t_in = count_triangles_exact(sample) if census else None
-        adj = sample.adj
 
         def closes(U, V):
-            return _closures(adj, zip(U.tolist(), V.tolist()))
+            return _count_and_add(adj, U.tolist(), V.tolist(), repeat(False),
+                                  False)[0]
     s = 0
     for U, V, keep in _coins(stream, p, make_rng()):
         drop = ~keep
         s += closes(U[drop], V[drop])
-    return t_in, s, kept
+    return t_in + s, kept
 
 
-def _one_pass_count(stream, p, rng, chunk_kernel):
-    """One pass that keeps each edge with probability p and sums what
-    `chunk_kernel` counts for each chunk against the sample as it grows.
-    Returns (s, kept)."""
+def _one_pass_count(stream, p, rng, census):
+    """One pass that keeps each edge with probability p and counts every
+    chunk against the sample as it grows: the triangles each dropped edge
+    closes, plus, when `census`, those each kept edge closes before it
+    joins.  Returns (count, kept)."""
     adj = {}
-    s = kept = 0
+    count = kept = 0
     for U, V, keep in _coins(stream, p, rng):
-        s += chunk_kernel(adj, U.tolist(), V.tolist(), keep.tolist())
+        count += sum(_count_and_add(adj, U.tolist(), V.tolist(), keep.tolist(),
+                                    census))
         kept += int(keep.sum())
-    return s, kept
+    return count, kept
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +346,7 @@ def _require_random_order(stream, algorithm):
 def alg1_two_pass(stream, p, seed, epsilon=None, T=None):
     """Unbiased two-pass estimate of the triangle count of the stream."""
     p = check_probability(p, allow_one=False)
-    _, s, kept = _two_pass_counts(stream, p, lambda: sampler_rng(seed), census=False)
+    s, kept = _two_pass_counts(stream, p, lambda: sampler_rng(seed), census=False)
     estimate = s / (3.0 * p * p * (1.0 - p))
     params = EstimatorParams(p, epsilon, T, None, seed)
     return EstimateReport(Algorithm.ALG1_TWO_PASS, estimate, params, kept, 2,
@@ -371,7 +357,7 @@ def alg1_one_pass_random(stream, p, seed, epsilon=None, T=None):
     """One-pass variant of alg1 for randomly ordered streams."""
     p = check_probability(p, allow_one=False)
     _require_random_order(stream, Algorithm.ALG1_ONE_PASS_RANDOM)
-    s, kept = _one_pass_count(stream, p, sampler_rng(seed), _one_pass_chunk_alg1)
+    s, kept = _one_pass_count(stream, p, sampler_rng(seed), census=False)
     estimate = s / (p * p * (1.0 - p))
     params = EstimatorParams(p, epsilon, T, None, seed)
     return EstimateReport(Algorithm.ALG1_ONE_PASS_RANDOM, estimate, params,
@@ -399,9 +385,9 @@ def alg2_two_pass(stream, p, l, master_seed, epsilon=None, T=None):
     vals = []
     stored = 0
     for i in range(l):
-        t_in, s, kept = _two_pass_counts(stream, p, partial(trial_rng, master_seed, i),
-                                         census=True)
-        vals.append((t_in + s) / denom)
+        r, kept = _two_pass_counts(stream, p, partial(trial_rng, master_seed, i),
+                                   census=True)
+        vals.append(r / denom)
         stored += kept
     params = EstimatorParams(p, epsilon, T, l, master_seed)
     return EstimateReport(Algorithm.ALG2_TWO_PASS, min(vals), params, stored, 2,
@@ -418,8 +404,7 @@ def alg2_one_pass_random(stream, p, l, master_seed, epsilon=None, T=None):
     vals = []
     stored = 0
     for i in range(l):
-        r, kept = _one_pass_count(stream, p, trial_rng(master_seed, i),
-                                  _one_pass_chunk_alg2)
+        r, kept = _one_pass_count(stream, p, trial_rng(master_seed, i), census=True)
         vals.append(r / denom)
         stored += kept
     params = EstimatorParams(p, epsilon, T, l, master_seed)

@@ -194,12 +194,12 @@ def _dense_eligible(g):
 
 def _dense_kernel(a, census=True):
     """Common neighbour counts of a symmetric 0/1 float32 adjacency matrix
-    `a`, and its triangle count when `census` is true (else None).  `a @ a.T`
+    `a`, and its triangle count when `census` is true (else 0).  `a @ a.T`
     equals `a @ a` and runs as BLAS syrk; entries are at most n < 2^24, so
     exact in float32, and the census sums in float64."""
     aa = a @ a.T
     if not census:
-        return aa, None
+        return aa, 0
     return aa, int(round(float((aa * a).sum(dtype=np.float64)))) // 6
 
 

@@ -24,6 +24,7 @@ integer seed across roles never correlates them, and so that each
 repetition's coins depend only on (seed, repetition index).
 """
 
+import numbers
 import os
 
 import numpy as np
@@ -285,8 +286,12 @@ class EdgeStream:
         return self._source.kind
 
     def iter_chunks(self, chunk_size=None):
-        """Yield (U, V) int64 array pairs covering one full pass."""
-        cs = chunk_size or _CHUNK_SIZE
+        """Yield (U, V) int64 array pairs covering one full pass, in chunks
+        of `chunk_size` edges (default 65536), the last one possibly shorter."""
+        cs = _CHUNK_SIZE if chunk_size is None else chunk_size
+        if not isinstance(cs, numbers.Integral) or cs < 1:
+            raise ValueError("chunk_size must be a positive integer, got %r"
+                             % (chunk_size,))
         if self._perm is None:
             yield from self._source.iter_chunks(cs)
         else:

@@ -48,6 +48,36 @@ def brute_stats(edges):
     return t, per_edge, per_vertex, J, K
 
 
+def two_pass_counts(edges, keep):
+    """(s, r) of alg1 and of one alg2 repetition for one keep mask: s sums,
+    over the dropped edges, the common neighbours of their endpoints among
+    the kept edges; r adds the kept edges' own triangle count."""
+    kept = [e for e, k in zip(edges, keep) if k]
+    adj = _adj_from_edges(kept)
+    s = sum(len(adj.get(u, set()) & adj.get(v, set()))
+            for (u, v), k in zip(edges, keep) if not k)
+    return s, brute_triangles(kept) + s
+
+
+def one_pass_counts(edges_in_order, keep):
+    """(s, r) of alg1-rand and of one alg2-rand repetition, by a plain walk
+    in arrival order: each arriving edge (u, v) counts the vertices w whose
+    edges to u and to v were both kept earlier; s sums that count over the
+    dropped edges, r over every edge."""
+    verts = sorted({x for e in edges_in_order for x in e})
+    kept = set()
+    s = r = 0
+    for (u, v), k in zip(edges_in_order, keep):
+        c = sum(1 for w in verts
+                if frozenset((u, w)) in kept and frozenset((v, w)) in kept)
+        r += c
+        if k:
+            kept.add(frozenset((u, v)))
+        else:
+            s += c
+    return s, r
+
+
 def mask_weight(mask, m, p):
     k = bin(mask).count("1")
     return p ** k * (1.0 - p) ** (m - k)

@@ -276,6 +276,61 @@ def test_alg1_engines_match_oracle(tmp_path_factory, edges, p, seed):
             assert rep.max_stored_edges == int(keep.sum())
 
 
+def check_estimators_against_oracles(edges, path, p, seed, l=2):
+    """Every estimator's report on `edges`, in memory and in the file
+    `path`, on both engines, against tests/oracles.py."""
+    m = len(edges)
+    keep = sampler_rng(seed).random(m) < p
+    reps = [trial_rng(seed, i).random(m) < p for i in range(l)]
+    s = oracles.two_pass_counts(edges, keep)[0]
+    rs = [oracles.two_pass_counts(edges, k)[1] for k in reps]
+    ordered = [edges[i] for i in order_rng(seed).permutation(m)]
+    s_rand = oracles.one_pass_counts(ordered, keep)[0]
+    rs_rand = [oracles.one_pass_counts(ordered, k)[1] for k in reps]
+    stored = sum(int(k.sum()) for k in reps)
+    for source in (edges, path):
+        given = open_stream(source)
+        for engine in ("dense", "sets"):
+            with pytest.MonkeyPatch.context() as mp:
+                force_engine(mp, engine)
+                a1 = alg1_two_pass(given, p, seed)
+                a2 = alg2_two_pass(given, p, l, seed)
+            assert a1.estimate == s / (3.0 * p * p * (1.0 - p))
+            assert a1.max_stored_edges == int(keep.sum())
+            denom = 3.0 * p * p * (1.0 - p) + p ** 3
+            assert a2.per_trial_estimates == [r / denom for r in rs]
+            assert a2.max_stored_edges == stored
+        shuffled = open_stream(source, order=Order.RANDOM_PERMUTATION, seed=seed)
+        a1 = alg1_one_pass_random(shuffled, p, seed)
+        assert a1.estimate == s_rand / (p * p * (1.0 - p))
+        assert a1.max_stored_edges == int(keep.sum())
+        a2 = alg2_one_pass_random(shuffled, p, l, seed)
+        assert a2.per_trial_estimates == [r / (p * p) for r in rs_rand]
+        assert a2.max_stored_edges == stored
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs, st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 2**32))
+def test_estimators_match_oracles(tmp_path_factory, edges, p, seed):
+    f = tmp_path_factory.mktemp("est") / "g.el"
+    write_edge_list(f, edges)
+    check_estimators_against_oracles(edges, f, p, seed)
+
+
+def test_estimators_match_oracles_on_a_hub(tmp_path):
+    # a 30-leaf star whose leaves are chained by chords: every chord closes
+    # a triangle at the hub, and chords (v, v+1), (v+1, v+2), (v, v+2)
+    # close triangles among the leaves
+    edges = [(0, v) for v in range(1, 31)]
+    edges += [(v, v + 1) for v in range(1, 30)]
+    edges += [(v, v + 2) for v in range(1, 29, 2)]
+    f = tmp_path / "hub.el"
+    write_edge_list(f, edges)
+    for p in (0.2, 0.5, 0.8):
+        for seed in range(3):
+            check_estimators_against_oracles(edges, f, p, seed)
+
+
 # ---------------------------------------------------------------------------
 # space accounting and reports
 

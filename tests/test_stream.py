@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from tricount import (open_stream, Order,
                       order_rng, sampler_rng, trial_rng, SourceChangedError,
-                      EdgeListParseError, DuplicateEdgeError, gen_complete)
+                      EdgeListParseError, DuplicateEdgeError, gen_complete,
+                      blow_up)
 from tricount import cli, stream
 from tricount.estimators import _coins
 from tricount.stream import check_seed, _runs
@@ -61,6 +62,26 @@ def test_chunks_agree_with_edges():
         assert U.dtype == np.int64
         flat.extend(zip(U.tolist(), V.tolist()))
     assert flat == list(s.iter_edges())
+
+
+def test_bad_chunk_size_is_rejected(tmp_path):
+    # a negative size used to yield empty chunks forever on a given-order
+    # file pass and no edges at all on the other sources; 0 fell back to
+    # the default
+    edges = [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3)]
+    f = write_el(tmp_path, edges)
+    streams = [open_stream(edges), open_stream(f),
+               open_stream(f, order=Order.RANDOM_PERMUTATION, seed=2),
+               blow_up(open_stream(edges), 2)]
+    for s in streams:
+        for bad in (-1, 0, 2.5):
+            with pytest.raises(ValueError, match="chunk_size"):
+                next(s.iter_chunks(bad))
+            with pytest.raises(ValueError, match="chunk_size"):
+                next(s.iter_edges(bad))
+        sizes = [U.size for U, _ in s.iter_chunks(np.int64(4))]
+        assert sizes == [4] * (s.m // 4) + ([s.m % 4] if s.m % 4 else [])
+        assert [U.size for U, _ in s.iter_chunks(None)] == [s.m]
 
 
 def test_all_orderings_occur_uniformly():
