@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .graph import (AdjacencyGraph, TriangleStats, EdgePartition, GraphError,
                     DuplicateEdgeError, canonical_edge, count_triangles_exact,
-                    triangle_stats, classify_edges, count_new_triangles)
+                    triangle_stats, classify_edges)
 from .edgelist import (EdgeListParseError, read_edge_list, write_edge_list,
                        iter_edge_file)
 from .stream import (Order, EdgeStream, open_stream, order_rng, sampler_rng,
@@ -27,7 +27,7 @@ from .generators import (GeneratorError, gen_planted, gen_complete,
 __all__ = [
     "AdjacencyGraph", "TriangleStats", "EdgePartition", "GraphError",
     "DuplicateEdgeError", "canonical_edge", "count_triangles_exact",
-    "triangle_stats", "classify_edges", "count_new_triangles",
+    "triangle_stats", "classify_edges",
     "EdgeListParseError", "read_edge_list", "write_edge_list", "iter_edge_file",
     "Order", "EdgeStream", "open_stream", "order_rng", "sampler_rng",
     "trial_rng", "SourceChangedError",

@@ -16,9 +16,9 @@ import sys
 import time
 
 from .edgelist import EdgeListParseError, read_edge_arrays, write_edge_list
-from .graph import (AdjacencyGraph, DuplicateEdgeError, GraphError,
-                    count_triangles_exact, triangle_stats, _dense_eligible)
-from .stream import Order, open_stream, order_rng, bench_seed
+from .graph import (DuplicateEdgeError, GraphError, count_triangles_exact,
+                    triangle_stats, _dense_eligible, _extent)
+from .stream import Order, open_stream, order_rng, bench_seed, _vertex_range
 from .estimators import (Algorithm, choose_p_alg1, choose_p_alg2,
                          choose_repetitions, alg1_two_pass,
                          alg1_one_pass_random, alg2_two_pass,
@@ -45,19 +45,10 @@ def _fmt(x):
 
 
 def _summary_count(g):
-    if _dense_eligible(g) or g.edge_count <= _SUMMARY_SETS_MAX_M:
+    nmax, m = _extent(g)
+    if _dense_eligible(nmax, m) or m <= _SUMMARY_SETS_MAX_M:
         return count_triangles_exact(g)
     return None
-
-
-def _read_graph(path):
-    """(graph, U, V) of an edge list file: the file's edges in file order
-    as endpoint arrays, and the graph they make.  The read validates every
-    edge, so the graph is built without checks."""
-    U, V, _ = read_edge_arrays(path)
-    g = AdjacencyGraph()
-    g._bulk_add_unchecked(zip(U.tolist(), V.tolist()))
-    return g, U, V
 
 
 def _parse_bits(s, name):
@@ -95,7 +86,7 @@ def _cmd_gen(args):
         n = out.n if out.n is not None else "?"
         t = None
         if m <= _SUMMARY_SETS_MAX_M:
-            t = _summary_count(_read_graph(args.out)[0])
+            t = _summary_count(read_edge_arrays(args.out)[:2])
         print("wrote %s: n=%s m=%d%s" % (args.out, n, m,
                                          "" if t is None else " t=%d" % t))
         return 0
@@ -130,15 +121,15 @@ def _cmd_gen(args):
 # exact
 
 def _cmd_exact(args):
-    g, U, V = _read_graph(args.input)
-    del U, V  # the count below sets the peak memory; free the arrays first
+    U, V, _ = read_edge_arrays(args.input)
+    n = _vertex_range(U, V)[0]
     if args.stats:
-        st = triangle_stats(g)
+        st = triangle_stats((U, V))
         print('{"n": %d, "m": %d, "t": %d, "J": %d, "K": %d}'
-              % (g.vertex_count, g.edge_count, st.t, st.J, st.K))
+              % (n, U.size, st.t, st.J, st.K))
     else:
         print('{"n": %d, "m": %d, "t": %d}'
-              % (g.vertex_count, g.edge_count, count_triangles_exact(g)))
+              % (n, U.size, count_triangles_exact((U, V))))
     return 0
 
 
@@ -252,20 +243,23 @@ def _parse_sweep(sweep):
 
 
 def _predict_oracle_seconds(g):
-    if _dense_eligible(g):
-        n = (max(g.adj) + 1) if g.adj else 1
-        return n ** 3 / 5e9
-    return g.edge_count ** 1.5 / 2e7
+    nmax, m = _extent(g)
+    if _dense_eligible(nmax, m):
+        return nmax ** 3 / 5e9
+    return m ** 1.5 / 2e7
 
 
 def _cmd_bench(args):
     if (args.input is None) == (args.gen is None):
         raise ParamError("bench needs exactly one of --input or --gen")
     if args.input is not None:
-        g, U, V = _read_graph(args.input)
+        U, V, _ = read_edge_arrays(args.input)
+        g = (U, V)
+        n = _vertex_range(U, V)[0]
     else:
         g = _parse_gen_spec(args.gen)
         U, V = g.edge_arrays()
+        n = g.vertex_count
 
     predicted = _predict_oracle_seconds(g)
     if predicted > args.oracle_budget:
@@ -273,8 +267,7 @@ def _cmd_bench(args):
                          "of %.0f s (raise --oracle-budget to force)"
                          % (predicted, args.oracle_budget))
     t_true = count_triangles_exact(g)
-    m = g.edge_count
-    n = g.vertex_count
+    m = U.size
 
     sweep_key, sweep_vals = _parse_sweep(args.sweep)
     if sweep_key is None:

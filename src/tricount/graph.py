@@ -1,11 +1,18 @@
 """Exact triangle counting and edge statistics on simple undirected graphs.
 
 The graphs here are the ground truth side of the toolkit: everything the
-sampling estimators claim is checked against these routines.  Counting is
-done by degree-ordered neighbor intersection, which costs O(m^{3/2}) and
-stays practical up to a few million edges.  Dense graphs with small vertex
-ranges additionally get a BLAS matrix path that computes the same number
-much faster.
+sampling estimators claim is checked against these routines.  Counting
+intersects id-ordered forward neighbor sets, fwd[a] = {b in N(a) : b > a}:
+`set & set` walks the smaller set, so an edge (a, b) costs at most
+min(d_a, d_b), and that sum over all edges is O(m^{3/2}) (Chiba and
+Nishizeki 1985), practical up to a few million edges.  Dense graphs with
+small vertex ranges additionally get a BLAS matrix path that computes the
+same number much faster.
+
+The counts take an AdjacencyGraph, or a pair (U, V) of int64 arrays of
+canonical endpoints (U[i] < V[i], no edge twice) such as
+`edgelist.read_edge_arrays` returns, so a file is counted without building
+a graph.
 """
 
 import numpy as np
@@ -73,22 +80,6 @@ class AdjacencyGraph:
         else:
             self.adj[v] = {u}
         self.edge_count += 1
-
-    def _bulk_add_unchecked(self, pairs):
-        """Insert distinct edges without validation (either orientation)."""
-        adj = self.adj
-        n = 0
-        for u, v in pairs:
-            if u in adj:
-                adj[u].add(v)
-            else:
-                adj[u] = {v}
-            if v in adj:
-                adj[v].add(u)
-            else:
-                adj[v] = {u}
-            n += 1
-        self.edge_count += n
 
     def has_edge(self, u, v):
         u, v = canonical_edge(u, v)
@@ -167,29 +158,16 @@ class EdgePartition:
             len(self.heavy), len(self.light), self.threshold)
 
 
-def _forward_adjacency(g):
-    """Neighbors restricted to higher rank, ranking vertices by (degree, id).
-
-    Every triangle {a, b, c} is then found exactly once, at its lowest
-    ranked vertex, and the intersection work is O(m^{3/2}) in total.
-    """
-    rank = {}
-    for i, v in enumerate(sorted(g.adj, key=lambda v: (len(g.adj[v]), v))):
-        rank[v] = i
-    fwd = {}
-    for v, nbrs in g.adj.items():
-        rv = rank[v]
-        fwd[v] = {w for w in nbrs if rank[w] > rv}
-    return fwd, rank
+def _extent(g):
+    """(largest id + 1, edge count) of a graph or a canonical (U, V) pair."""
+    if isinstance(g, AdjacencyGraph):
+        return (max(g.adj) + 1 if g.adj else 0), g.edge_count
+    V = g[1]
+    return (int(V.max()) + 1 if V.size else 0), int(V.size)
 
 
-def _dense_eligible(g):
-    if not g.adj:
-        return False
-    nmax = max(g.adj) + 1
-    if nmax > _DENSE_MAX_N:
-        return False
-    return g.edge_count >= _DENSE_MIN_FILL * nmax * nmax
+def _dense_eligible(nmax, m):
+    return 0 < nmax <= _DENSE_MAX_N and m >= _DENSE_MIN_FILL * nmax * nmax
 
 
 def _dense_kernel(a, census=True):
@@ -204,47 +182,72 @@ def _dense_kernel(a, census=True):
 
 
 def _dense_triangle_count(g):
-    nmax = max(g.adj) + 1
+    nmax = _extent(g)[0]
     a = np.zeros((nmax, nmax), dtype=np.float32)
-    for u, nbrs in g.adj.items():
-        a[u, list(nbrs)] = 1.0
+    if isinstance(g, AdjacencyGraph):
+        for u, nbrs in g.adj.items():
+            a[u, list(nbrs)] = 1.0
+    else:
+        U, V = g
+        a[U, V] = a[V, U] = 1.0
     return _dense_kernel(a)[1]
 
 
+def _forward_sets(g):
+    """fwd[a] = {b in N(a) : b > a} for every vertex a with a higher
+    neighbour, built from the canonical edges of a graph or a (U, V) pair."""
+    if isinstance(g, AdjacencyGraph):
+        pairs = ((a, b) for a, nbrs in g.adj.items() for b in nbrs if a < b)
+    else:
+        pairs = zip(g[0].tolist(), g[1].tolist())
+    fwd = {}
+    for a, b in pairs:
+        fa = fwd.get(a)
+        if fa is None:
+            fwd[a] = {b}
+        else:
+            fa.add(b)
+    return fwd
+
+
+def _triangle_walk(fwd):
+    """Yield (a, b, common) for each edge a < b on some triangle, where
+    common is the set of its third vertices c > b.  Every triangle
+    a < b < c comes out once, at its edge (a, b), with its edges (a, b),
+    (a, c) and (b, c) canonical."""
+    empty = frozenset()
+    get = fwd.get
+    for a, fa in fwd.items():
+        for b in fa:
+            common = fa & get(b, empty)
+            if common:
+                yield a, b, common
+
+
 def count_triangles_exact(g):
-    """Exact number of triangles in g."""
-    if g.edge_count == 0:
-        return 0
-    if _dense_eligible(g):
+    """Exact number of triangles in g, a graph or a canonical (U, V) pair."""
+    nmax, m = _extent(g)
+    if _dense_eligible(nmax, m):
         return _dense_triangle_count(g)
-    fwd, _ = _forward_adjacency(g)
-    t = 0
-    for v, fv in fwd.items():
-        for w in fv:
-            t += len(fv & fwd[w])
-    return t
+    return sum(len(common) for _, _, common in _triangle_walk(_forward_sets(g)))
 
 
 def triangle_stats(g):
-    """Full census: t, triangles per edge, max per edge (J), max per vertex (K)."""
+    """Full census of a graph or a canonical (U, V) pair: t, triangles per
+    edge, max per edge (J), max per vertex (K)."""
     per_edge = {}
     per_vertex = {}
-    fwd, _ = _forward_adjacency(g)
     t = 0
-    for a, fa in fwd.items():
-        for b in fa:
-            common = fa & fwd[b]
-            if not common:
-                continue
-            t += len(common)
-            k = len(common)
-            per_edge[canonical_edge(a, b)] = per_edge.get(canonical_edge(a, b), 0) + k
-            per_vertex[a] = per_vertex.get(a, 0) + k
-            per_vertex[b] = per_vertex.get(b, 0) + k
-            for c in common:
-                per_edge[canonical_edge(a, c)] = per_edge.get(canonical_edge(a, c), 0) + 1
-                per_edge[canonical_edge(b, c)] = per_edge.get(canonical_edge(b, c), 0) + 1
-                per_vertex[c] = per_vertex.get(c, 0) + 1
+    for a, b, common in _triangle_walk(_forward_sets(g)):
+        k = len(common)
+        t += k
+        per_edge[a, b] = per_edge.get((a, b), 0) + k
+        per_vertex[a] = per_vertex.get(a, 0) + k
+        per_vertex[b] = per_vertex.get(b, 0) + k
+        for c in common:
+            per_edge[a, c] = per_edge.get((a, c), 0) + 1
+            per_edge[b, c] = per_edge.get((b, c), 0) + 1
+            per_vertex[c] = per_vertex.get(c, 0) + 1
     J = max(per_edge.values(), default=0)
     K = max(per_vertex.values(), default=0)
     return TriangleStats(t, per_edge, J, K)
@@ -274,27 +277,10 @@ def classify_edges(g, epsilon, stats=None):
         else:
             light.add(e)
     # triangles with at least two light edges, found by one more enumeration
-    fwd, _ = _forward_adjacency(g)
     s_count = 0
-    for a, fa in fwd.items():
-        for b in fa:
-            for c in fa & fwd[b]:
-                n_light = ((canonical_edge(a, b) in light)
-                           + (canonical_edge(a, c) in light)
-                           + (canonical_edge(b, c) in light))
-                if n_light >= 2:
-                    s_count += 1
+    for a, b, common in _triangle_walk(_forward_sets(g)):
+        for c in common:
+            n_light = ((a, b) in light) + ((a, c) in light) + ((b, c) in light)
+            if n_light >= 2:
+                s_count += 1
     return EdgePartition(frozenset(heavy), frozenset(light), threshold, s_count)
-
-
-def count_new_triangles(sampled, e):
-    """Number of triangles that edge e closes against the sampled graph,
-    i.e. common neighbors of its endpoints there."""
-    u, v = canonical_edge(*e)
-    nu = sampled.adj.get(u)
-    if not nu:
-        return 0
-    nv = sampled.adj.get(v)
-    if not nv:
-        return 0
-    return len(nu & nv)

@@ -48,6 +48,17 @@ def brute_stats(edges):
     return t, per_edge, per_vertex, J, K
 
 
+def brute_two_light(edges, light):
+    """Triangles with at least two of their edges in `light`, a set of
+    (min, max) pairs, by triple enumeration."""
+    adj = _adj_from_edges(edges)
+    n = 0
+    for a, b, c in itertools.combinations(sorted(adj), 3):
+        if b in adj[a] and c in adj[a] and c in adj[b]:
+            n += ((a, b) in light) + ((a, c) in light) + ((b, c) in light) >= 2
+    return n
+
+
 def two_pass_counts(edges, keep):
     """(s, r) of alg1 and of one alg2 repetition for one keep mask: s sums,
     over the dropped edges, the common neighbours of their endpoints among

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+import oracles
+
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "tricount", *args],
@@ -88,6 +90,21 @@ def test_exact(k4_file):
     assert r.returncode == 0
     d = json.loads(r.stdout)
     assert d == {"n": 4, "m": 6, "t": 4, "J": 2, "K": 3}
+
+
+def test_exact_on_sparse_ids_matches_oracle(tmp_path):
+    # a hub on ids past the dense limit, each hub edge written (hub, leaf),
+    # so the count walks the forward sets of the parsed arrays
+    leaves = range(5000, 5030)
+    edges = [(10 ** 6, v) for v in leaves] + [(v, v + 1) for v in leaves[:-1]]
+    edges += [(v, v + 2) for v in leaves[:-2:2]]
+    f = tmp_path / "hub.el"
+    f.write_text("".join("%d %d\n" % e for e in edges))
+    t, _, _, J, K = oracles.brute_stats(edges)
+    want = {"n": 31, "m": len(edges), "t": t}
+    assert json.loads(run_cli("exact", "--input", str(f)).stdout) == want
+    want.update(J=J, K=K)
+    assert json.loads(run_cli("exact", "--input", str(f), "--stats").stdout) == want
 
 
 def test_exact_missing_file():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from tricount import (open_stream, Order, gen_complete,
                       gen_planted, gen_tripartite, count_triangles_exact,
+                      triangle_stats,
                       choose_p_alg1, choose_p_alg2, choose_repetitions,
                       alg1_two_pass, alg1_one_pass_random, alg2_two_pass,
                       alg2_one_pass_random, AdjacencyGraph, write_edge_list)
@@ -18,7 +19,7 @@ from tricount.estimators import (alg1_pass2_count, alg2_detected_count,
 from tricount.graph import _DENSE_MAX_N
 from tricount.stream import sampler_rng, order_rng, trial_rng
 
-from conftest import path_graph
+from conftest import path_graph, k4_minus_edge
 import oracles
 
 
@@ -127,6 +128,24 @@ def test_alg2_two_pass_matches_core():
 
 # ---------------------------------------------------------------------------
 # behavior on edges of the parameter space
+
+def test_pass2_closure_cases():
+    # the dropped edge closes a wedge once and K4 minus itself twice
+    assert alg1_pass2_count([(0, 1), (1, 2), (0, 2)], [True, True, False]) == 1
+    k4m = k4_minus_edge().edges()
+    assert alg1_pass2_count(k4m + [(0, 1)], [True] * len(k4m) + [False]) == 2
+    assert alg1_pass2_count([(0, 1)], [False]) == 0
+
+
+def test_pass2_closures_equal_per_edge_on_full_graph():
+    # keeping every edge but e, e closes exactly its own triangles
+    for seed in (0, 1):
+        g = random_dense_graph(9, 0.5, 40 + seed)
+        edges = g.edges()
+        per_edge = triangle_stats(g).per_edge
+        for e in edges:
+            assert alg1_pass2_count(edges, [x != e for x in edges]) == per_edge.get(e, 0)
+
 
 def test_alg1_rejects_degenerate_p():
     stream = open_stream(gen_complete(4))

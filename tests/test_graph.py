@@ -2,13 +2,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tricount import (AdjacencyGraph, GraphError, DuplicateEdgeError,
                       canonical_edge, count_triangles_exact, triangle_stats,
-                      classify_edges, count_new_triangles, gen_complete)
-from tricount.graph import _dense_triangle_count, _dense_eligible
+                      classify_edges, gen_complete, graph)
+from tricount.graph import _dense_triangle_count, _dense_eligible, _extent
 
-from conftest import path_graph, k4_minus_edge
+from conftest import path_graph
 import oracles
 
 
@@ -67,14 +68,24 @@ def test_count_matches_brute_force_small():
         assert count_triangles_exact(g) == oracles.brute_triangles(edges), seed
 
 
-def test_dense_and_sparse_paths_agree():
+def force_walk(mp):
+    """Send count_triangles_exact down the set walk on any input."""
+    mp.setattr(graph, "_dense_eligible", lambda nmax, m: False)
+
+
+def test_dense_and_sparse_paths_agree(monkeypatch):
     for seed in range(10):
         edges = random_graph(40, 0.35, 100 + seed)
         g = AdjacencyGraph(edges)
-        assert _dense_eligible(g)
+        assert _dense_eligible(*_extent(g))
         want = oracles.brute_triangles(edges)
         assert _dense_triangle_count(g) == want
+        assert _dense_triangle_count(g.edge_arrays()) == want
         assert count_triangles_exact(g) == want
+        with monkeypatch.context() as mp:
+            force_walk(mp)
+            assert count_triangles_exact(g) == want
+            assert count_triangles_exact(g.edge_arrays()) == want
 
 
 def test_stats_k4():
@@ -145,17 +156,58 @@ def test_classify_partition_and_bounds():
             assert part.two_light_triangle_count >= (1 - eps) * st.t
 
 
-def test_count_new_triangles_cases():
-    wedge = AdjacencyGraph([(0, 1), (1, 2)])
-    assert count_new_triangles(wedge, (0, 2)) == 1
-    assert count_new_triangles(k4_minus_edge(), (0, 1)) == 2
-    assert count_new_triangles(AdjacencyGraph(), (0, 1)) == 0
+def check_against_oracles(edges):
+    """Every exact count of `edges`, as a graph and as its canonical arrays,
+    on the path count_triangles_exact picks and on the forced walk, and
+    the heavy/light split at three epsilons, against tests/oracles.py."""
+    t, per_edge, _, J, K = oracles.brute_stats(edges)
+    g = AdjacencyGraph(edges)
+    for source in (g, g.edge_arrays()):
+        assert count_triangles_exact(source) == t
+        with pytest.MonkeyPatch.context() as mp:
+            force_walk(mp)
+            assert count_triangles_exact(source) == t
+        stats = triangle_stats(source)
+        assert (stats.t, stats.J, stats.K) == (t, J, K)
+        assert stats.per_edge == per_edge
+    if t == 0:
+        return
+    for eps in (0.1, 0.25, 0.4):
+        part = classify_edges(g, eps)
+        light = {e for e in g.edges() if per_edge.get(e, 0) <= 3.0 * (t / eps) ** 0.5}
+        assert part.light == light
+        assert part.two_light_triangle_count == oracles.brute_two_light(edges, light)
 
 
-def test_count_new_triangles_equals_per_edge_on_full_graph():
-    for seed in (0, 1):
-        edges = random_graph(9, 0.5, 40 + seed)
-        g = AdjacencyGraph(edges)
-        st = triangle_stats(g)
-        for e in g.edges():
-            assert count_new_triangles(g, e) == st.per_edge.get(e, 0)
+@st.composite
+def graphs_with_a_book(draw):
+    """Up to 40 random edges on ids 0..11, plus a book of up to 30 pages
+    (triangles sharing the spine (12, 13)) whose spine turns heavy once it
+    has enough of them, with every id relabelled by a random permutation
+    so that the spine lands anywhere in the id order."""
+    edges = draw(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11))
+                          .filter(lambda e: e[0] != e[1]),
+                          unique_by=lambda e: (min(e), max(e)), max_size=40))
+    pages = draw(st.integers(0, 30))
+    if pages:
+        edges += [(12, 13)] + [(s, 14 + i) for i in range(pages) for s in (12, 13)]
+    perm = draw(st.permutations(range(44)))
+    return [(perm[u], perm[v]) for u, v in edges]
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs_with_a_book())
+def test_exact_counts_match_oracles(edges):
+    check_against_oracles(edges)
+
+
+@pytest.mark.parametrize("hub", [0, 10 ** 6])
+def test_exact_counts_match_oracles_on_a_hub(hub):
+    # a 30-leaf star on ids past the dense limit, its leaves chained by
+    # chords, with the hub at the lowest or the highest id
+    leaves = range(5000, 5030)
+    edges = [(hub, v) for v in leaves]
+    edges += [(v, v + 1) for v in leaves[:-1]]
+    edges += [(v, v + 2) for v in leaves[:-2:2]]
+    assert not _dense_eligible(*_extent(AdjacencyGraph(edges)))
+    check_against_oracles(edges)
