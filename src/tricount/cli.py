@@ -86,7 +86,7 @@ def _cmd_gen(args):
         n = out.n if out.n is not None else "?"
         t = None
         if m <= _SUMMARY_SETS_MAX_M:
-            t = _summary_count(read_edge_arrays(args.out)[:2])
+            t = _summary_count(read_edge_arrays(args.out))
         print("wrote %s: n=%s m=%d%s" % (args.out, n, m,
                                          "" if t is None else " t=%d" % t))
         return 0
@@ -121,7 +121,7 @@ def _cmd_gen(args):
 # exact
 
 def _cmd_exact(args):
-    U, V, _ = read_edge_arrays(args.input)
+    U, V = read_edge_arrays(args.input)
     n = _vertex_range(U, V)[0]
     if args.stats:
         st = triangle_stats((U, V))
@@ -253,7 +253,7 @@ def _cmd_bench(args):
     if (args.input is None) == (args.gen is None):
         raise ParamError("bench needs exactly one of --input or --gen")
     if args.input is not None:
-        U, V, _ = read_edge_arrays(args.input)
+        U, V = read_edge_arrays(args.input)
         g = (U, V)
         n = _vertex_range(U, V)[0]
     else:

@@ -74,8 +74,8 @@ def parse_edge_line(line, lineno=None):
 
 def _parse_fast(buf):
     """Edges of a block parsed by numpy, or None when the block needs the
-    line parser.  Returns (U, V, line, start): the canonical endpoints of
-    each edge, the index of its line in the block and that line's offset."""
+    line parser.  Returns (U, V, line): the canonical endpoints of each
+    edge and the index of its line in the block."""
     cls = _BYTE_CLASS[np.frombuffer(buf, dtype=np.uint8)]
     if not cls.all():  # some byte is _OTHER
         return None
@@ -91,23 +91,20 @@ def _parse_fast(buf):
     if not first.size:
         # fromstring reads a blank-only buffer as [0]
         empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty, empty
+        return empty, empty, empty
     ids = np.fromstring(buf, dtype=np.int64, sep=" ")
     U, V = ids[0::2], ids[1::2]
     if ids.size != first.size or (U == V).any():
         return None
-    line = tok_line[0::2]
-    start = np.concatenate(([0], newlines + 1))[line]
-    return np.minimum(U, V), np.maximum(U, V), line, start
+    return np.minimum(U, V), np.maximum(U, V), tok_line[0::2]
 
 
 def _parse_lines(buf, lineno):
     """Parse a block with `parse_edge_line`, its first line numbered
     `lineno`.  Returns the edges before the first bad line in the layout
     of `_parse_fast`, and that line's error or None."""
-    us, vs, lines, starts = [], [], [], []
+    us, vs, lines = [], [], []
     err = None
-    pos = 0
     for i, raw in enumerate(buf.split(b"\n")):
         try:
             e = parse_edge_line(raw.decode("ascii", errors="replace"), lineno + i)
@@ -118,43 +115,31 @@ def _parse_lines(buf, lineno):
             us.append(e[0])
             vs.append(e[1])
             lines.append(i)
-            starts.append(pos)
-        pos += len(raw) + 1
-    arrays = tuple(np.array(a, dtype=np.int64) for a in (us, vs, lines, starts))
+    arrays = tuple(np.array(a, dtype=np.int64) for a in (us, vs, lines))
     return arrays, err
 
 
 def _parse_block(buf, lineno):
     """The one parser of edge list text: `buf` holds whole lines, the first
-    numbered `lineno`.  Returns ((U, V, line, start), error or None)."""
+    numbered `lineno`.  Returns ((U, V, line), error or None)."""
     parsed = _parse_fast(buf)
     if parsed is not None:
         return parsed, None
     return _parse_lines(buf, lineno)
 
 
-def parse_edge_block(buf):
-    """Canonical int64 endpoint arrays (U, V) of the edges in `buf`, a
-    bytes object of whole edge list lines; a bad line raises."""
-    (U, V, _, _), err = _parse_block(buf, 1)
-    if err is not None:
-        raise err
-    return U, V
-
-
 def _line_blocks(f):
-    """Yield (buf, lineno, offset) over a binary file: runs of whole lines
-    of about _BLOCK_BYTES, the number of their first line and their byte
-    offset.  The last block may lack a final newline."""
+    """Yield (buf, lineno) over a binary file: runs of whole lines of about
+    _BLOCK_BYTES and the number of their first line.  The last block may
+    lack a final newline."""
     lineno = 1
-    offset = 0
     parts = []
     while True:
         data = f.read(_BLOCK_BYTES)
         if not data:
             buf = b"".join(parts)
             if buf:
-                yield buf, lineno, offset
+                yield buf, lineno
             return
         cut = data.rfind(b"\n") + 1
         if not cut:
@@ -162,23 +147,21 @@ def _line_blocks(f):
             continue
         parts.append(data[:cut])
         buf = b"".join(parts)
-        yield buf, lineno, offset
+        yield buf, lineno
         lineno += buf.count(b"\n")
-        offset += len(buf)
         parts = [data[cut:]]
 
 
 def iter_edge_blocks(path):
-    """Yield (U, V, lineno, offset) array tuples over an edge list file, in
-    file order: each edge's canonical int64 endpoints, the number of its
-    line and the byte offset where that line starts.  Blocks hold at most
-    a few hundred KiB of text.  A bad line raises EdgeListParseError after
-    every edge above it has been yielded."""
+    """Yield (U, V, lineno) array triples over an edge list file, in file
+    order: each edge's canonical int64 endpoints and the number of its
+    line.  Blocks hold at most a few hundred KiB of text.  A bad line
+    raises EdgeListParseError after every edge above it has been yielded."""
     with open(path, "rb") as f:
-        for buf, lineno, offset in _line_blocks(f):
-            (U, V, line, start), err = _parse_block(buf, lineno)
+        for buf, lineno in _line_blocks(f):
+            (U, V, line), err = _parse_block(buf, lineno)
             if U.size:
-                yield U, V, line + lineno, start + offset
+                yield U, V, line + lineno
             if err is not None:
                 raise err
 
@@ -186,7 +169,7 @@ def iter_edge_blocks(path):
 def iter_edge_file(path):
     """Yield (edge, lineno) pairs from an edge list file, skipping
     comments and blanks."""
-    for U, V, lineno, _ in iter_edge_blocks(path):
+    for U, V, lineno in iter_edge_blocks(path):
         yield from zip(zip(U.tolist(), V.tolist()), lineno.tolist())
 
 
@@ -204,23 +187,23 @@ def _first_repeat(U, V):
 
 
 def _distinct_edges(blocks):
-    """Concatenate (U, V, lineno, offset) block arrays, emptying `blocks`;
-    a repeated edge raises with the line of its first repeat.  Returns
-    (U, V, offset)."""
-    U, V, lineno, offset = (np.concatenate([b[k] for b in blocks]) if blocks
-                            else np.empty(0, dtype=np.int64) for k in range(4))
+    """Concatenate (U, V, lineno) block arrays, emptying `blocks`; a
+    repeated edge raises with the line of its first repeat.  Returns
+    (U, V)."""
+    U, V, lineno = (np.concatenate([b[k] for b in blocks]) if blocks
+                    else np.empty(0, dtype=np.int64) for k in range(3))
     blocks.clear()
     i = _first_repeat(U, V)
     if i is not None:
         raise EdgeListParseError("duplicate edge (%d, %d)" % (U[i], V[i]), int(lineno[i]))
-    return U, V, offset
+    return U, V
 
 
 def read_edge_arrays(path):
-    """Parse and validate a whole edge list file.  Returns (U, V, offset):
-    int64 arrays of the canonical endpoints of every edge in file order
-    and the byte offset of its line.  A malformed line or a repeated edge
-    raises EdgeListParseError naming the first offending line."""
+    """Parse and validate a whole edge list file.  Returns (U, V): int64
+    arrays of the canonical endpoints of every edge in file order.  A
+    malformed line or a repeated edge raises EdgeListParseError naming the
+    first offending line."""
     blocks = []
     try:
         for block in iter_edge_blocks(path):
@@ -233,7 +216,7 @@ def read_edge_arrays(path):
 
 def read_edge_list(path):
     """Read a whole file into a list of canonical edges, rejecting duplicates."""
-    U, V, _ = read_edge_arrays(path)
+    U, V = read_edge_arrays(path)
     return list(zip(U.tolist(), V.tolist()))
 
 

@@ -7,7 +7,7 @@ intersects id-ordered forward neighbor sets, fwd[a] = {b in N(a) : b > a}:
 min(d_a, d_b), and that sum over all edges is O(m^{3/2}) (Chiba and
 Nishizeki 1985), practical up to a few million edges.  Dense graphs with
 small vertex ranges additionally get a BLAS matrix path that computes the
-same number much faster.
+same count and census much faster.
 
 The counts take an AdjacencyGraph, or a pair (U, V) of int64 arrays of
 canonical endpoints (U[i] < V[i], no edge twice) such as
@@ -181,7 +181,9 @@ def _dense_kernel(a, census=True):
     return aa, int(round(float((aa * a).sum(dtype=np.float64)))) // 6
 
 
-def _dense_triangle_count(g):
+def _dense_matrix(g):
+    """Symmetric 0/1 float32 adjacency matrix of a graph or a canonical
+    (U, V) pair, indexed by vertex id."""
     nmax = _extent(g)[0]
     a = np.zeros((nmax, nmax), dtype=np.float32)
     if isinstance(g, AdjacencyGraph):
@@ -190,18 +192,38 @@ def _dense_triangle_count(g):
     else:
         U, V = g
         a[U, V] = a[V, U] = 1.0
-    return _dense_kernel(a)[1]
+    return a
+
+
+def _dense_triangle_count(g):
+    return _dense_kernel(_dense_matrix(g))[1]
+
+
+def _dense_stats(g):
+    """triangle_stats read off the dense kernel: w = A^2 * A holds at each
+    edge (u, v) its triangle count, so row v of w sums to twice the
+    triangles at v."""
+    a = _dense_matrix(g)
+    aa, t = _dense_kernel(a)
+    w = aa * a
+    U, V = np.nonzero(np.triu(w, 1))
+    per_edge = dict(zip(zip(U.tolist(), V.tolist()), w[U, V].astype(np.int64).tolist()))
+    K = int(w.sum(axis=1, dtype=np.float64).max()) // 2
+    return TriangleStats(t, per_edge, max(per_edge.values(), default=0), K)
+
+
+def _edge_pairs(g):
+    """The canonical edges of a graph or a (U, V) pair, as (a, b) tuples."""
+    if isinstance(g, AdjacencyGraph):
+        return ((a, b) for a, nbrs in g.adj.items() for b in nbrs if a < b)
+    return zip(g[0].tolist(), g[1].tolist())
 
 
 def _forward_sets(g):
     """fwd[a] = {b in N(a) : b > a} for every vertex a with a higher
     neighbour, built from the canonical edges of a graph or a (U, V) pair."""
-    if isinstance(g, AdjacencyGraph):
-        pairs = ((a, b) for a, nbrs in g.adj.items() for b in nbrs if a < b)
-    else:
-        pairs = zip(g[0].tolist(), g[1].tolist())
     fwd = {}
-    for a, b in pairs:
+    for a, b in _edge_pairs(g):
         fa = fwd.get(a)
         if fa is None:
             fwd[a] = {b}
@@ -234,7 +256,10 @@ def count_triangles_exact(g):
 
 def triangle_stats(g):
     """Full census of a graph or a canonical (U, V) pair: t, triangles per
-    edge, max per edge (J), max per vertex (K)."""
+    edge (edges on no triangle left out), max per edge (J), max per vertex
+    (K)."""
+    if _dense_eligible(*_extent(g)):
+        return _dense_stats(g)
     per_edge = {}
     per_vertex = {}
     t = 0
@@ -271,7 +296,7 @@ def classify_edges(g, epsilon, stats=None):
     heavy = set()
     light = set()
     per_edge = stats.per_edge
-    for e in g.edges():
+    for e in _edge_pairs(g):
         if per_edge.get(e, 0) > threshold:
             heavy.add(e)
         else:

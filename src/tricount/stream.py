@@ -5,18 +5,17 @@ any number of times; every traversal of the same instance yields the exact
 same order.  The order is either the source order or a random permutation
 drawn once at construction from a seed, never redrawn between passes.
 
-Streams over files do not load the edge list into memory during passes;
-they parse the file a block of lines at a time and yield chunks of 65536
-edges.  Opening a file stream always scans the whole file once, because
-the scan gives m and the line offsets that random-order passes read from:
-it rejects malformed lines, and finds repeated edges with one sort of the
-endpoint arrays.  A random-order pass sorts each chunk's line offsets and
-reads those lines in file order, in runs of nearby lines with one read
-call per run, then puts the edges back in the permutation's order.
-`validate=False` skips the duplicate check of in-memory sources only.  The
-scan also records the file's size and modification time; a pass over a
-file whose size or time has changed since, or a pass that does not find m
-edges, raises SourceChangedError.
+A file stream scans the whole file once when it is opened: the scan gives
+m, rejects malformed lines, and finds repeated edges with one sort of the
+endpoint arrays.  Given-order passes keep nothing of the scan; they parse
+the file again a block of lines at a time and yield chunks of 65536 edges.
+A random-order stream keeps the scanned endpoint arrays (16 bytes per
+edge; the permutation alone takes 8), and its passes gather each chunk
+from them as a memory stream does.  `validate=False` skips the duplicate
+check of in-memory sources only.  The scan also records the file's size
+and modification time; a pass over a file whose size or time has changed
+since, or a given-order pass that does not find m edges, raises
+SourceChangedError.
 
 Randomness is split by purpose.  The permutation, the sampling coins and
 the per-trial substreams are derived from (seed, tag) so that reusing one
@@ -30,8 +29,7 @@ import os
 import numpy as np
 
 from .graph import AdjacencyGraph, GraphError, DuplicateEdgeError
-from .edgelist import (iter_edge_blocks, parse_edge_block, read_edge_arrays,
-                       _first_repeat)
+from .edgelist import iter_edge_blocks, read_edge_arrays, _first_repeat
 
 
 class SourceChangedError(OSError):
@@ -126,48 +124,19 @@ class _MemorySource:
         return _vertex_range(U, V)
 
 
-# A random-order pass reads a chunk's lines in file order, in runs: a
-# selected line joins the current run when it starts at most _TAKE_GAP
-# bytes after the previous one and the run still spans at most _TAKE_BYTES
-# bytes.  Reading a page costs about as much as one read call, so the bytes
-# read per selected line stay bounded.  The selected lines are parsed about
-# _TAKE_BYTES of text at a time, which bounds a pass's transient memory.
-_TAKE_GAP = 4096
-_TAKE_BYTES = 1 << 16
-
-
-def _runs(off):
-    """Yield (i, j) for each run off[i:j] of the sorted line offsets `off`."""
-    cuts = (np.flatnonzero(np.diff(off) > _TAKE_GAP) + 1).tolist() + [off.size]
-    i = 0
-    for cut in cuts:
-        while i < cut:
-            j = min(cut, int(np.searchsorted(off, off[i] + _TAKE_BYTES, "right")))
-            yield i, j
-            i = j
-
-
-def _gather_lines(run, starts):
-    """The bytes of the lines of `run` that start at `starts`, each with its
-    newline, in one buffer; `run` ends with a newline."""
-    buf = np.frombuffer(run, dtype=np.uint8)
-    newlines = np.flatnonzero(buf == ord("\n"))
-    lens = newlines[np.searchsorted(newlines, starts)] + 1 - starts
-    at = np.cumsum(lens) - lens  # where each line goes in the gathered buffer
-    pos = np.arange(at[-1] + lens[-1]) + np.repeat(starts - at, lens)
-    return buf[pos].tobytes()
-
-
 class _FileSource:
-    """Edges read from an edge list file; passes re-read the file."""
+    """Edges read from an edge list file.  Given-order passes re-read the
+    file; random-order ones gather from the endpoint arrays of the scan,
+    which `keep_arrays` holds on to."""
 
     kind = "file"
     seekable = True
 
-    def __init__(self, path):
+    def __init__(self, path, keep_arrays):
         self.path = str(path)
         self.m = None
-        self._offsets = None
+        self._keep = keep_arrays
+        self._arrays = None
         self._stamp = None
 
     def _stat(self):
@@ -180,15 +149,17 @@ class _FileSource:
 
     def scan(self):
         self._stamp = self._stat()
-        U, V, self._offsets = read_edge_arrays(self.path)
+        U, V = read_edge_arrays(self.path)
         self.m = int(U.size)
+        if self._keep:
+            self._arrays = U, V
         return _vertex_range(U, V)
 
     def iter_chunks(self, chunk_size):
         if self._stat() != self._stamp:
             raise self._changed()
         edges = 0
-        for U, V in _rechunk(((U, V) for U, V, _, _ in iter_edge_blocks(self.path)),
+        for U, V in _rechunk(((U, V) for U, V, _ in iter_edge_blocks(self.path)),
                              chunk_size):
             edges += U.size
             yield U, V
@@ -200,27 +171,8 @@ class _FileSource:
         `idx`, in the order of `idx`."""
         if self._stat() != self._stamp:
             raise self._changed()
-        off = self._offsets[idx]
-        order = np.argsort(off)
-        off = off[order]
-        U = np.empty(off.size, dtype=np.int64)
-        V = np.empty(off.size, dtype=np.int64)
-        lines, parsed, size = [], 0, 0
-        with open(self.path, "rb") as f:
-            for i, j in _runs(off):
-                f.seek(off[i])
-                run = f.read(off[j - 1] - off[i]) + f.readline()
-                if not run.endswith(b"\n"):  # the file's last line may lack it
-                    run += b"\n"
-                lines.append(_gather_lines(run, off[i:j] - off[i]))
-                size += len(lines[-1])
-                if size >= _TAKE_BYTES or j == off.size:
-                    ru, rv = parse_edge_block(b"".join(lines))
-                    if ru.size != j - parsed:  # a line no longer holds one edge
-                        raise self._changed()
-                    U[order[parsed:j]], V[order[parsed:j]] = ru, rv
-                    lines, parsed, size = [], j, 0
-        return U, V
+        U, V = self._arrays
+        return U[idx], V[idx]
 
 
 def _rechunk(pairs, chunk_size):
@@ -337,11 +289,12 @@ def open_stream(source, order=Order.AS_GIVEN, seed=0, validate=True):
     Validation scans the whole input once: malformed lines and duplicate
     edges are errors.  The scan also records the vertex count and the
     largest id, which the estimators use for parameter selection.  A file
-    is always scanned, since its passes need m and the line offsets;
+    is always scanned, since its passes need m, and a random-order file
+    stream keeps the scanned endpoint arrays for its passes;
     `validate=False` skips the scan of in-memory sources only.
     """
     if isinstance(source, (str, os.PathLike)):
-        src = _FileSource(source)
+        src = _FileSource(source, keep_arrays=order == Order.RANDOM_PERMUTATION)
         n, max_id = src.scan()
     else:
         src = _memory_source_from(source)

@@ -102,7 +102,7 @@ def assert_readers_agree(path, data):
     ref_pass = outcome(reference_read, data, False)
     assert outcome(read_edge_list, path) == edges_of(ref)
     assert outcome(lambda p: list(iter_edge_file(p)), path) == ref_pass
-    blocks = outcome(lambda p: [e for U, V, _, _ in iter_edge_blocks(p)
+    blocks = outcome(lambda p: [e for U, V, _ in iter_edge_blocks(p)
                                 for e in zip(U.tolist(), V.tolist())], path)
     assert blocks == edges_of(ref_pass)
     if ref[0] == "error":

@@ -69,7 +69,8 @@ def test_count_matches_brute_force_small():
 
 
 def force_walk(mp):
-    """Send count_triangles_exact down the set walk on any input."""
+    """Send count_triangles_exact and triangle_stats down the set walk on
+    any input."""
     mp.setattr(graph, "_dense_eligible", lambda nmax, m: False)
 
 
@@ -86,6 +87,22 @@ def test_dense_and_sparse_paths_agree(monkeypatch):
             force_walk(mp)
             assert count_triangles_exact(g) == want
             assert count_triangles_exact(g.edge_arrays()) == want
+
+
+def test_dense_and_walk_stats_agree():
+    # K_n, and a random graph just past the dense fill of 1/32
+    for edges in (gen_complete(30).edges(), random_graph(300, 0.08, 7)):
+        g = AdjacencyGraph(edges)
+        assert _dense_eligible(*_extent(g))
+        for source in (g, g.edge_arrays()):
+            dense = triangle_stats(source)
+            with pytest.MonkeyPatch.context() as mp:
+                force_walk(mp)
+                walk = triangle_stats(source)
+            assert dense.t == walk.t == count_triangles_exact(g)
+            assert dense.per_edge == walk.per_edge
+            assert (dense.J, dense.K) == (walk.J, walk.K)
+            assert all(type(k) is int for k in dense.per_edge.values())
 
 
 def test_stats_k4():
@@ -158,25 +175,28 @@ def test_classify_partition_and_bounds():
 
 def check_against_oracles(edges):
     """Every exact count of `edges`, as a graph and as its canonical arrays,
-    on the path count_triangles_exact picks and on the forced walk, and
-    the heavy/light split at three epsilons, against tests/oracles.py."""
+    on the path the input picks and on the forced walk, and the heavy/light
+    split of both forms at three epsilons, against tests/oracles.py."""
     t, per_edge, _, J, K = oracles.brute_stats(edges)
     g = AdjacencyGraph(edges)
     for source in (g, g.edge_arrays()):
-        assert count_triangles_exact(source) == t
-        with pytest.MonkeyPatch.context() as mp:
-            force_walk(mp)
-            assert count_triangles_exact(source) == t
-        stats = triangle_stats(source)
-        assert (stats.t, stats.J, stats.K) == (t, J, K)
-        assert stats.per_edge == per_edge
+        for walk in (False, True):
+            with pytest.MonkeyPatch.context() as mp:
+                if walk:
+                    force_walk(mp)
+                assert count_triangles_exact(source) == t
+                stats = triangle_stats(source)
+            assert (stats.t, stats.J, stats.K) == (t, J, K)
+            assert stats.per_edge == per_edge
     if t == 0:
         return
     for eps in (0.1, 0.25, 0.4):
-        part = classify_edges(g, eps)
         light = {e for e in g.edges() if per_edge.get(e, 0) <= 3.0 * (t / eps) ** 0.5}
-        assert part.light == light
-        assert part.two_light_triangle_count == oracles.brute_two_light(edges, light)
+        for source in (g, g.edge_arrays()):
+            part = classify_edges(source, eps)
+            assert part.light == light
+            assert part.heavy == set(g.edges()) - light
+            assert part.two_light_triangle_count == oracles.brute_two_light(edges, light)
 
 
 @st.composite
