@@ -30,17 +30,23 @@ probability p):
 Every pass of every algorithm draws its coins in one generator, `_coins`,
 one uniform per edge in stream order.  alg1 and every alg2 repetition run
 one two-pass core, `_two_pass_counts`, on one of two engines that give the
-same integers: neighbour sets, or a float32 adjacency matrix squared by the
-exact oracle's BLAS kernel.  The engine follows from the input alone
-(`_dense_fits`: a small vertex range and a sample dense enough).
-alg1-rand and every alg2-rand repetition run one single-pass loop,
-`_one_pass_count`.  Every neighbour-set count goes through one kernel,
-`_count_and_add`: it walks edges in order, counts a dropped edge's common
-sampled neighbours and adds a kept edge to the sample.  alg2's census (the
-sample's own triangles) is counted as the kept edges arrive, each
-triangle once, at its last edge; alg1 skips it.  Each pass counts the
-edges it keeps; a report's max_stored_edges is their sum over the
-repetitions, since a run holds all its samples at once.
+same integers: a float32 adjacency matrix of the whole vertex range squared
+by the exact oracle's BLAS kernel, or a `_Sample` split into a heavy core
+and neighbour sets.  The engine follows from the input alone
+(`_dense_fits`: a small vertex range and a sample dense enough).  In a
+`_Sample` the vertices of high sample degree form the heavy core, whose
+edges go in a matrix squared by the same BLAS kernel; every other edge
+stays in neighbour sets.  A query edge's common sampled neighbours are
+then a set intersection, a matrix entry and, for a light end joined to a
+heavy one, a sum over the light end's heavy neighbours, each evaluated
+for a whole chunk of queries at once.  alg2's census (the sample's own
+triangles) is a third of that count summed over the kept edges; alg1
+skips it.  alg1-rand and every alg2-rand repetition run one single-pass
+loop, `_one_pass_count`, on one kernel, `_count_and_add`: it walks edges
+in order, counts a dropped edge's common sampled neighbours and adds a
+kept edge to the sample (it also builds a `_Sample`'s sets).  Each pass
+counts the edges it keeps; a report's max_stored_edges is their sum over
+the repetitions, since a run holds all its samples at once.
 
 Repetition i draws its coins from trial_rng(master_seed, i) alone, so an
 l-repetition run reports exactly the l independent repetitions.
@@ -50,11 +56,17 @@ import json
 import math
 from functools import partial
 from itertools import repeat
+from operator import and_
 
 import numpy as np
 
 from .graph import _dense_kernel, _DENSE_MAX_N
 from .stream import Order, sampler_rng, trial_rng
+
+# a sample vertex with this many sample edges joins the heavy core, which
+# holds at most _HEAVY_MAX_N of them
+_HEAVY_MIN_DEGREE = 32
+_HEAVY_MAX_N = _DENSE_MAX_N
 
 
 class Algorithm:
@@ -179,7 +191,7 @@ def choose_repetitions(epsilon):
 
 
 # ---------------------------------------------------------------------------
-# the one counting kernel, also driven exhaustively by the test oracles
+# the counting kernels, also driven exhaustively by the test oracles
 
 def _count_and_add(adj, us, vs, keeps, census):
     """Walk the edges (us[i], vs[i]) in order against the sample `adj`, a
@@ -213,19 +225,101 @@ def _count_and_add(adj, us, vs, keeps, census):
     return s, t
 
 
+def _locate(ids, X):
+    """Positions of the ids X in the sorted nonempty array `ids`, and the
+    mask of those present."""
+    j = ids.searchsorted(X)
+    return j, ids.take(j, mode="clip") == X
+
+
+def _heavy_core(KU, KV):
+    """The sorted ids of the sample vertices with at least _HEAVY_MIN_DEGREE
+    of the sample edges (KU[i], KV[i]), at most _HEAVY_MAX_N of them,
+    highest degrees first."""
+    if KU.size < _HEAVY_MIN_DEGREE:
+        return np.empty(0, dtype=np.int64)
+    ids, deg = np.unique(np.concatenate((KU, KV)), return_counts=True)
+    heavy = deg >= _HEAVY_MIN_DEGREE
+    if np.count_nonzero(heavy) > _HEAVY_MAX_N:
+        heavy[np.argsort(-deg, kind="stable")[_HEAVY_MAX_N:]] = False
+    return ids[heavy]
+
+
+class _Sample:
+    """A fixed edge sample, split for counting after Alon, Yuster and Zwick
+    (1997).  The heavy vertices (`_heavy_core`) index a float32 matrix A of
+    the sample edges between two of them, and C = A @ A counts their common
+    heavy neighbours.  Every other sample edge stays in neighbour sets: the
+    vertex held[j] holds sets[j] and, when light, has its heavy neighbours
+    in row[start[j]:start[j] + size[j]].  Vertices are found by sorted id,
+    so any int64 id works.  With `census`, `triangles` is the sample's own
+    triangle count, a third of the count summed over its edges (else 0)."""
+
+    def __init__(self, KU, KV, census):
+        self.heavy = hid = _heavy_core(KU, KV)
+        LU, LV = KU, KV
+        if hid.size:
+            iu, hu = _locate(hid, KU)
+            iv, hv = _locate(hid, KV)
+            both = hu & hv
+            one = hu ^ hv
+            light, h = np.where(hu, KV, KU)[one], np.where(hu, iu, iv)[one]
+            LU, LV = KU[~both], KV[~both]
+        adj = {}
+        _count_and_add(adj, LU.tolist(), LV.tolist(), repeat(True), False)
+        held = np.fromiter(adj, dtype=np.int64, count=len(adj))
+        sets = np.empty(held.size, dtype=object)
+        sets[:] = list(adj.values())
+        order = np.argsort(held)
+        self.held, self.sets = held[order], sets[order]
+        del adj, sets
+        if hid.size:
+            A = np.zeros((hid.size, hid.size), dtype=np.float32)
+            A[iu[both], iv[both]] = A[iv[both], iu[both]] = 1.0
+            self.A, self.C = A, _dense_kernel(A, False)[0]
+            # each light-heavy sample edge joins its light end's row
+            j = _locate(self.held, light)[0]
+            self.row = h[np.argsort(j, kind="stable")]
+            self.size = np.bincount(j, minlength=held.size)
+            self.start = np.cumsum(self.size) - self.size
+        self.triangles = self.count(KU, KV) // 3 if census else 0
+
+    def count(self, U, V):
+        """The common sampled neighbours of U[i] and V[i], summed over i:
+        the common neighbours in the sets, plus C[u, v] when both ends are
+        heavy, plus, when one end h is heavy, the heavy neighbours of the
+        light end joined to h in A."""
+        s = 0
+        if self.held.size:
+            ju, setu = _locate(self.held, U)
+            jv, setv = _locate(self.held, V)
+            sets = setu & setv
+            s += sum(map(len, map(and_, self.sets[ju[sets]], self.sets[jv[sets]])))
+        if not self.heavy.size:
+            return s
+        iu, hu = _locate(self.heavy, U)
+        iv, hv = _locate(self.heavy, V)
+        both = hu & hv
+        s += int(self.C[iu[both], iv[both]].sum(dtype=np.float64))
+        if self.row.size:
+            one = (hu ^ hv) & np.where(hu, setv, setu)
+            j, h = np.where(hu, jv, ju)[one], np.where(hu, iu, iv)[one]
+            size = self.size[j]
+            first = np.repeat(self.start[j] - (np.cumsum(size) - size), size)
+            w = self.row[first + np.arange(first.size)]
+            s += int(np.count_nonzero(self.A[w, np.repeat(h, size)]))
+        return s
+
+
 def _sample_then_closures(edges, keep, census):
     """Both passes of the two-pass core on an explicit edge list and keep
     mask: the kept edges build the sample, then the dropped ones count the
     triangles they close against it.  Returns that sum, plus the sample's
     own triangle count when `census`."""
-    adj = {}
-    kept = [e for e, k in zip(edges, keep) if k]
-    dropped = [e for e, k in zip(edges, keep) if not k]
-    _, t = _count_and_add(adj, [u for u, _ in kept], [v for _, v in kept],
-                          repeat(True), census)
-    s, _ = _count_and_add(adj, [u for u, _ in dropped], [v for _, v in dropped],
-                          repeat(False), False)
-    return t + s
+    E = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    keep = np.array(keep, dtype=bool)
+    sample = _Sample(*E[keep].T, census)
+    return sample.triangles + sample.count(*E[~keep].T)
 
 
 def alg1_pass2_count(edges, keep):
@@ -276,6 +370,18 @@ def _dense_fits(stream, p):
             and p * stream.m >= (nmax + 1) ** 2 / 128.0)
 
 
+def _sample_pass(stream, p, rng, census):
+    """Pass 1 of the sets engine: the kept edges as a _Sample, and how many
+    they are."""
+    kus, kvs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for U, V, keep in _coins(stream, p, rng):
+        kus.append(U[keep])
+        kvs.append(V[keep])
+    KU, KV = np.concatenate(kus), np.concatenate(kvs)
+    del kus, kvs
+    return _Sample(KU, KV, census), KU.size
+
+
 def _two_pass_counts(stream, p, make_rng, census):
     """Pass 1 keeps each edge with probability p on the coins of a fresh
     make_rng(); pass 2 redraws the same coins and sums, over the edges not
@@ -283,10 +389,8 @@ def _two_pass_counts(stream, p, make_rng, census):
     kept): that sum, plus the sample's own triangle count when `census`,
     and the number of kept edges.  When `_dense_fits`, each closure count
     is read off A @ A for the sample's float32 adjacency matrix A,
-    otherwise the neighbour-set kernel `_count_and_add` builds the sample
-    (counting its triangles as their last edges arrive) and counts the
-    closures; the sums are exact either way, so both engines return the
-    same integers.
+    otherwise off a `_Sample` of the kept edges; the sums are exact either
+    way, so both engines return the same integers.
     """
     kept = 0
     if _dense_fits(stream, p):
@@ -302,17 +406,8 @@ def _two_pass_counts(stream, p, make_rng, census):
         def closes(U, V):
             return int(common[U, V].sum(dtype=np.float64))
     else:
-        adj = {}
-        t_in = 0
-        for U, V, keep in _coins(stream, p, make_rng()):
-            ku, kv = U[keep], V[keep]
-            t_in += _count_and_add(adj, ku.tolist(), kv.tolist(), repeat(True),
-                                   census)[1]
-            kept += ku.size
-
-        def closes(U, V):
-            return _count_and_add(adj, U.tolist(), V.tolist(), repeat(False),
-                                  False)[0]
+        sample, kept = _sample_pass(stream, p, make_rng(), census)
+        t_in, closes = sample.triangles, sample.count
     s = 0
     for U, V, keep in _coins(stream, p, make_rng()):
         drop = ~keep

@@ -7,7 +7,7 @@ intersects id-ordered forward neighbor sets, fwd[a] = {b in N(a) : b > a}:
 min(d_a, d_b), and that sum over all edges is O(m^{3/2}) (Chiba and
 Nishizeki 1985), practical up to a few million edges.  Dense graphs with
 small vertex ranges additionally get a BLAS matrix path that computes the
-same count and census much faster.
+same count, census and heavy/light split much faster.
 
 The counts take an AdjacencyGraph, or a pair (U, V) of int64 arrays of
 canonical endpoints (U[i] < V[i], no edge twice) such as
@@ -26,8 +26,8 @@ class DuplicateEdgeError(GraphError):
     pass
 
 
-# dense counting (here and in the estimators' auto engine) needs an
-# adjacency matrix this small, and here a graph this dense
+# dense counting (here, in the estimators' dense engine and in their heavy
+# core) needs an adjacency matrix this small, and here a graph this dense
 _DENSE_MAX_N = 2048
 _DENSE_MIN_FILL = 1.0 / 32.0
 
@@ -212,6 +212,22 @@ def _dense_stats(g):
     return TriangleStats(t, per_edge, max(per_edge.values(), default=0), K)
 
 
+def _dense_two_light(g, light):
+    """The triangles of g with at least two edges in `light`, read off the
+    dense kernel: with L the light edges' adjacency matrix and H = A - L
+    the heavy ones', trace(L^3) / 6 counts the all-light triangles and
+    sum(H * L^2) / 2 those whose one heavy edge closes a light wedge."""
+    a = _dense_matrix(g)
+    l = np.zeros_like(a)
+    if light:
+        U, V = np.array(list(light), dtype=np.int64).T
+        l[U, V] = l[V, U] = 1.0
+    ll, t_light = _dense_kernel(l)
+    a -= l  # now H
+    a *= ll
+    return t_light + int(round(float(a.sum(dtype=np.float64)))) // 2
+
+
 def _edge_pairs(g):
     """The canonical edges of a graph or a (U, V) pair, as (a, b) tuples."""
     if isinstance(g, AdjacencyGraph):
@@ -301,11 +317,14 @@ def classify_edges(g, epsilon, stats=None):
             heavy.add(e)
         else:
             light.add(e)
-    # triangles with at least two light edges, found by one more enumeration
-    s_count = 0
-    for a, b, common in _triangle_walk(_forward_sets(g)):
-        for c in common:
-            n_light = ((a, b) in light) + ((a, c) in light) + ((b, c) in light)
-            if n_light >= 2:
-                s_count += 1
+    # triangles with at least two light edges
+    if _dense_eligible(*_extent(g)):
+        s_count = _dense_two_light(g, light)
+    else:
+        s_count = 0
+        for a, b, common in _triangle_walk(_forward_sets(g)):
+            for c in common:
+                n_light = ((a, b) in light) + ((a, c) in light) + ((b, c) in light)
+                if n_light >= 2:
+                    s_count += 1
     return EdgePartition(frozenset(heavy), frozenset(light), threshold, s_count)

@@ -15,7 +15,7 @@ from tricount import (open_stream, Order, gen_complete,
 from tricount import estimators
 from tricount.estimators import (alg1_pass2_count, alg2_detected_count,
                                  alg1_one_pass_count, alg2_one_pass_count,
-                                 _dense_fits)
+                                 _dense_fits, _heavy_core, _Sample)
 from tricount.graph import _DENSE_MAX_N
 from tricount.stream import sampler_rng, order_rng, trial_rng
 
@@ -224,6 +224,23 @@ def force_engine(monkeypatch, engine):
     monkeypatch.setattr(estimators, "_dense_fits", lambda stream, p: engine == "dense")
 
 
+# the sets engine's heavy core as (min sample degree, max vertices): the
+# default, and cores small inputs reach, the last two capped
+HEAVY_CORES = (None, (1, _DENSE_MAX_N), (2, _DENSE_MAX_N), (1, 3), (2, 3))
+
+
+def force_heavy(monkeypatch, core):
+    if core is not None:
+        monkeypatch.setattr(estimators, "_HEAVY_MIN_DEGREE", core[0])
+        monkeypatch.setattr(estimators, "_HEAVY_MAX_N", core[1])
+
+
+def engines(dense=True):
+    """(engine, heavy core) pairs: the dense engine, then the sets engine
+    under every core of HEAVY_CORES."""
+    return ([("dense", None)] if dense else []) + [("sets", c) for c in HEAVY_CORES]
+
+
 def test_engine_choice():
     big = open_stream(gen_complete(60))  # m=1770, nmax=60
     assert _dense_fits(big, 0.5)
@@ -287,17 +304,19 @@ def test_alg1_engines_match_oracle(tmp_path_factory, edges, p, seed):
     f = tmp_path_factory.mktemp("alg1") / "g.el"
     write_edge_list(f, edges)
     for stream in (open_stream(edges), open_stream(f)):
-        for engine in ("dense", "sets"):
+        for engine, core in engines():
             with pytest.MonkeyPatch.context() as mp:
                 force_engine(mp, engine)
+                force_heavy(mp, core)
                 rep = alg1_two_pass(stream, p, seed)
             assert rep.estimate == s / (3.0 * p * p * (1.0 - p))
             assert rep.max_stored_edges == int(keep.sum())
 
 
-def check_estimators_against_oracles(edges, path, p, seed, l=2):
+def check_estimators_against_oracles(edges, path, p, seed, l=2, dense=True):
     """Every estimator's report on `edges`, in memory and in the file
-    `path`, on both engines, against tests/oracles.py."""
+    `path`, on the dense engine (unless not `dense`) and on the sets engine
+    under every heavy core, against tests/oracles.py."""
     m = len(edges)
     keep = sampler_rng(seed).random(m) < p
     reps = [trial_rng(seed, i).random(m) < p for i in range(l)]
@@ -309,9 +328,10 @@ def check_estimators_against_oracles(edges, path, p, seed, l=2):
     stored = sum(int(k.sum()) for k in reps)
     for source in (edges, path):
         given = open_stream(source)
-        for engine in ("dense", "sets"):
+        for engine, core in engines(dense):
             with pytest.MonkeyPatch.context() as mp:
                 force_engine(mp, engine)
+                force_heavy(mp, core)
                 a1 = alg1_two_pass(given, p, seed)
                 a2 = alg2_two_pass(given, p, l, seed)
             assert a1.estimate == s / (3.0 * p * p * (1.0 - p))
@@ -348,6 +368,67 @@ def test_estimators_match_oracles_on_a_hub(tmp_path):
     for p in (0.2, 0.5, 0.8):
         for seed in range(3):
             check_estimators_against_oracles(edges, f, p, seed)
+
+
+def test_estimators_match_oracles_at_huge_ids(tmp_path):
+    # a 40-leaf star at id 2^62 with its leaves just below it, chained by
+    # chords as above; 2^62 squared has no dense matrix, so sets only
+    hub = 2 ** 62
+    leaves = range(hub - 40, hub)
+    edges = [(v, hub) for v in leaves]
+    edges += [(v, v + 1) for v in leaves[:-1]]
+    edges += [(v, v + 2) for v in leaves[:-2:2]]
+    f = tmp_path / "huge.el"
+    write_edge_list(f, edges)
+    for p in (0.5, 0.9):
+        check_estimators_against_oracles(edges, f, p, 4, dense=False)
+    # its 40 edges put the hub alone in the default core (at p = 0.9 it
+    # keeps about 36 of them, past the threshold of 32)
+    U, V = np.array(edges, dtype=np.int64).T
+    assert _heavy_core(U, V).tolist() == [hub]
+
+
+def test_heavy_core_takes_the_highest_degrees(monkeypatch):
+    # vertex 1 has degree 5, vertices 0 and 2 tie at 4, then 3 at 3, 6 and
+    # 7 tie at 2, 4 and 5 at 1; ties go to the lower id
+    edges = [(0, 1), (1, 2), (1, 3), (1, 4), (1, 5), (0, 2), (0, 3), (2, 6),
+             (0, 7), (2, 7), (3, 6)]
+    U, V = np.array(edges, dtype=np.int64).T
+    assert np.bincount(np.concatenate((U, V))).tolist() == [4, 5, 4, 3, 1, 1, 2, 2]
+    for cap, want in ((1, [1]), (2, [0, 1]), (3, [0, 1, 2]), (4, [0, 1, 2, 3]),
+                      (5, [0, 1, 2, 3, 6]), (8, [0, 1, 2, 3, 6, 7])):
+        force_heavy(monkeypatch, (2, cap))
+        assert _heavy_core(U, V).tolist() == want
+    for cap, want in ((2, [0, 1]), (3, [0, 1, 2]), (4, [0, 1, 2])):
+        force_heavy(monkeypatch, (4, cap))
+        assert _heavy_core(U, V).tolist() == want
+
+
+@pytest.mark.parametrize("core", HEAVY_CORES[1:])
+def test_sample_splits_heavy_and_light(monkeypatch, core):
+    # K5 on 0..4 with a pendant path 4-5-6 and a fan 5-{0, 1, 2}: every
+    # heavy pair lives in A, every other edge in the sets, and each count
+    # is the brute-force common neighbours, summed
+    force_heavy(monkeypatch, core)
+    edges = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    edges += [(4, 5), (5, 6), (0, 5), (1, 5), (2, 5)]
+    U, V = np.array(edges, dtype=np.int64).T
+    sample = _Sample(U, V, census=True)
+    heavy = set(sample.heavy.tolist())
+    assert 0 < len(heavy) <= core[1]
+    in_a = int(sample.A.sum()) // 2
+    in_sets = sum(len(x) for x in sample.sets) // 2
+    assert in_a == sum(u in heavy and v in heavy for u, v in edges)
+    assert in_a + in_sets == len(edges)
+    adj = oracles._adj_from_edges(edges)
+    queries = [(u, v) for u in range(8) for v in range(u + 1, 8)]
+    for u, v in queries:
+        want = len(adj.get(u, set()) & adj.get(v, set()))
+        assert sample.count(np.array([u]), np.array([v])) == want
+    QU, QV = np.array(queries, dtype=np.int64).T
+    assert sample.count(QU, QV) == sum(
+        len(adj.get(u, set()) & adj.get(v, set())) for u, v in queries)
+    assert sample.triangles == oracles.brute_triangles(edges)
 
 
 # ---------------------------------------------------------------------------

@@ -69,8 +69,8 @@ def test_count_matches_brute_force_small():
 
 
 def force_walk(mp):
-    """Send count_triangles_exact and triangle_stats down the set walk on
-    any input."""
+    """Send count_triangles_exact, triangle_stats and classify_edges down
+    the set walk on any input."""
     mp.setattr(graph, "_dense_eligible", lambda nmax, m: False)
 
 
@@ -103,6 +103,26 @@ def test_dense_and_walk_stats_agree():
             assert dense.per_edge == walk.per_edge
             assert (dense.J, dense.K) == (walk.J, walk.K)
             assert all(type(k) is int for k in dense.per_edge.values())
+
+
+def test_dense_and_walk_classify_agree():
+    # two 60-page books with spines (0, 1) and (0, 2) on the same pages,
+    # plus five chords between pages: the spines turn heavy at eps = 0.4,
+    # and the chords close all-light triangles; dense, at 183 edges on 63 ids
+    pages = range(3, 63)
+    edges = [(0, 1), (0, 2)] + [(s, v) for v in pages for s in (0, 1, 2)]
+    edges += [(v, v + 1) for v in range(3, 13, 2)]
+    g = AdjacencyGraph(edges)
+    assert _dense_eligible(*_extent(g))
+    for source in (g, g.edge_arrays()):
+        dense = classify_edges(source, 0.4)
+        with pytest.MonkeyPatch.context() as mp:
+            force_walk(mp)
+            walk = classify_edges(source, 0.4)
+        assert dense.heavy == walk.heavy == {(0, 1), (0, 2)}
+        assert dense.light == walk.light
+        assert (dense.two_light_triangle_count == walk.two_light_triangle_count
+                == oracles.brute_two_light(edges, dense.light) == 135)
 
 
 def test_stats_k4():
@@ -193,10 +213,14 @@ def check_against_oracles(edges):
     for eps in (0.1, 0.25, 0.4):
         light = {e for e in g.edges() if per_edge.get(e, 0) <= 3.0 * (t / eps) ** 0.5}
         for source in (g, g.edge_arrays()):
-            part = classify_edges(source, eps)
-            assert part.light == light
-            assert part.heavy == set(g.edges()) - light
-            assert part.two_light_triangle_count == oracles.brute_two_light(edges, light)
+            for walk in (False, True):
+                with pytest.MonkeyPatch.context() as mp:
+                    if walk:
+                        force_walk(mp)
+                    part = classify_edges(source, eps)
+                assert part.light == light
+                assert part.heavy == set(g.edges()) - light
+                assert part.two_light_triangle_count == oracles.brute_two_light(edges, light)
 
 
 @st.composite
