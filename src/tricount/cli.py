@@ -12,6 +12,7 @@ except for the wall_time_ms column of bench CSV.
 """
 
 import argparse
+import os
 import sys
 import time
 
@@ -75,6 +76,9 @@ def _cmd_gen(args):
             raise ParamError("gen blowup needs --input")
         if args.T is None:
             raise ParamError("gen blowup needs --T")
+        # the blow-up reads its input lazily, after --out is truncated
+        if os.path.exists(args.out) and os.path.samefile(args.input, args.out):
+            raise ParamError("gen blowup --out %s is its --input file" % args.out)
         stream = open_stream(args.input)
         out = generators.blow_up(stream, args.T)
         edges = out.iter_edges()
@@ -252,6 +256,8 @@ def _predict_oracle_seconds(g):
 def _cmd_bench(args):
     if (args.input is None) == (args.gen is None):
         raise ParamError("bench needs exactly one of --input or --gen")
+    if args.trials < 1:
+        raise ParamError("--trials must be positive, got %d" % args.trials)
     if args.input is not None:
         U, V = read_edge_arrays(args.input)
         g = (U, V)

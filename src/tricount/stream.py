@@ -5,17 +5,15 @@ any number of times; every traversal of the same instance yields the exact
 same order.  The order is either the source order or a random permutation
 drawn once at construction from a seed, never redrawn between passes.
 
-A file stream scans the whole file once when it is opened: the scan gives
-m, rejects malformed lines, and finds repeated edges with one sort of the
-endpoint arrays.  Given-order passes keep nothing of the scan; they parse
-the file again a block of lines at a time and yield chunks of 65536 edges.
-A random-order stream keeps the scanned endpoint arrays (16 bytes per
-edge; the permutation alone takes 8), and its passes gather each chunk
-from them as a memory stream does.  `validate=False` skips the duplicate
-check of in-memory sources only.  The scan also records the file's size
-and modification time; a pass over a file whose size or time has changed
-since, or a given-order pass that does not find m edges, raises
-SourceChangedError.
+A file stream parses the whole file once when it is opened: the parse
+gives m, rejects malformed lines, and finds repeated edges with one sort of
+the endpoint arrays.  The stream keeps those arrays (16 bytes per edge),
+and its passes, in either order, slice or gather each chunk from them as a
+memory stream does.  `validate=False` skips the duplicate check of
+in-memory sources only.  The file's size and modification time are
+recorded before the parse; a pass over a file whose size or time has
+changed since raises SourceChangedError.  An edit that keeps both goes
+unseen: the pass yields the parsed edges.
 
 Randomness is split by purpose.  The permutation, the sampling coins and
 the per-trial substreams are derived from (seed, tag) so that reusing one
@@ -29,7 +27,7 @@ import os
 import numpy as np
 
 from .graph import AdjacencyGraph, GraphError, DuplicateEdgeError
-from .edgelist import iter_edge_blocks, read_edge_arrays, _first_repeat
+from .edgelist import read_edge_arrays, _first_repeat
 
 
 class SourceChangedError(OSError):
@@ -124,55 +122,37 @@ class _MemorySource:
         return _vertex_range(U, V)
 
 
-class _FileSource:
-    """Edges read from an edge list file.  Given-order passes re-read the
-    file; random-order ones gather from the endpoint arrays of the scan,
-    which `keep_arrays` holds on to."""
+class _FileSource(_MemorySource):
+    """The endpoint arrays of an edge list file, parsed when it is opened.
+    Every pass first checks that the file still has the size and
+    modification time it had before the parse."""
 
     kind = "file"
-    seekable = True
 
-    def __init__(self, path, keep_arrays):
+    def __init__(self, path):
         self.path = str(path)
-        self.m = None
-        self._keep = keep_arrays
-        self._arrays = None
-        self._stamp = None
+        self._stamp = self._stat()
+        super().__init__(*read_edge_arrays(self.path))
 
     def _stat(self):
         st = os.stat(self.path)
         return st.st_size, st.st_mtime_ns
 
-    def _changed(self):
-        return SourceChangedError("edge list file %s changed after the stream "
-                                  "was opened; open it again" % self.path)
+    def _check(self):
+        if self._stat() != self._stamp:
+            raise SourceChangedError("edge list file %s changed after the stream "
+                                     "was opened; open it again" % self.path)
 
     def scan(self):
-        self._stamp = self._stat()
-        U, V = read_edge_arrays(self.path)
-        self.m = int(U.size)
-        if self._keep:
-            self._arrays = U, V
-        return _vertex_range(U, V)
+        return _vertex_range(self.U, self.V)
 
     def iter_chunks(self, chunk_size):
-        if self._stat() != self._stamp:
-            raise self._changed()
-        edges = 0
-        for U, V in _rechunk(((U, V) for U, V, _ in iter_edge_blocks(self.path)),
-                             chunk_size):
-            edges += U.size
-            yield U, V
-        if edges != self.m:
-            raise self._changed()
+        self._check()
+        yield from super().iter_chunks(chunk_size)
 
     def take(self, idx):
-        """Endpoint arrays of the edges whose positions in file order are
-        `idx`, in the order of `idx`."""
-        if self._stat() != self._stamp:
-            raise self._changed()
-        U, V = self._arrays
-        return U[idx], V[idx]
+        self._check()
+        return super().take(idx)
 
 
 def _rechunk(pairs, chunk_size):
@@ -289,12 +269,11 @@ def open_stream(source, order=Order.AS_GIVEN, seed=0, validate=True):
     Validation scans the whole input once: malformed lines and duplicate
     edges are errors.  The scan also records the vertex count and the
     largest id, which the estimators use for parameter selection.  A file
-    is always scanned, since its passes need m, and a random-order file
-    stream keeps the scanned endpoint arrays for its passes;
-    `validate=False` skips the scan of in-memory sources only.
+    is always scanned, and its stream keeps the parsed endpoint arrays for
+    its passes; `validate=False` skips the scan of in-memory sources only.
     """
     if isinstance(source, (str, os.PathLike)):
-        src = _FileSource(source, keep_arrays=order == Order.RANDOM_PERMUTATION)
+        src = _FileSource(source)
         n, max_id = src.scan()
     else:
         src = _memory_source_from(source)

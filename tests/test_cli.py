@@ -66,6 +66,19 @@ def test_gen_blowup_rejects_ids_past_int64(tmp_path):
     assert "int64" in r.stderr
 
 
+@pytest.mark.parametrize("shuffle", [[], ["--shuffle", "3"]])
+def test_gen_blowup_refuses_to_overwrite_its_input(tmp_path, shuffle):
+    k3 = tmp_path / "k3.el"
+    assert run_cli("gen", "complete", "--n", "3", "--out", str(k3)).returncode == 0
+    before = k3.read_bytes()
+    same = "%s/./k3.el" % tmp_path  # another name for the same file
+    r = run_cli("gen", "blowup", "--input", str(k3), "--T", "2",
+                "--out", same, *shuffle)
+    assert r.returncode == 2
+    assert "is its --input file" in r.stderr
+    assert k3.read_bytes() == before
+
+
 def test_gen_shuffle_is_a_permutation(tmp_path):
     a = tmp_path / "a.el"
     b = tmp_path / "b.el"
@@ -311,6 +324,14 @@ def test_bench_needs_one_input(planted_file):
     r = run_cli("bench", "alg1", "--input", planted_file,
                 "--gen", "complete:n=4", "--p", "0.5")
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_bench_rejects_non_positive_trials(planted_file, trials):
+    r = run_cli("bench", "alg1", "--input", planted_file, "--p", "0.5",
+                "--trials", trials)
+    assert r.returncode == 2
+    assert "--trials" in r.stderr and r.stdout == ""
 
 
 def test_bench_bad_sweep(planted_file):
