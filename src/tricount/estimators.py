@@ -44,9 +44,16 @@ triangles) is a third of that count summed over the kept edges; alg1
 skips it.  alg1-rand and every alg2-rand repetition run one single-pass
 loop, `_one_pass_count`, on one kernel, `_count_and_add`: it walks edges
 in order, counts a dropped edge's common sampled neighbours and adds a
-kept edge to the sample (it also builds a `_Sample`'s sets).  Each pass
-counts the edges it keeps; a report's max_stored_edges is their sum over
-the repetitions, since a run holds all its samples at once.
+kept edge to the sample (it also builds a `_Sample`'s sets).  Before the
+walk, a look-ahead pass draws the coins and gathers the kept edges, whose
+heavy core follows the `_Sample` rule.  The walk holds each vertex's
+neighbours in that core as the bits of one int and its other neighbours
+in a set, so the core's part of a count is one AND and a bit count; with
+no core it is the plain set walk.  Every random-order stream holds its
+endpoint arrays, so the look-ahead is one extra physical read of them,
+and the report's `passes` stays 1.  Each pass counts the edges it keeps;
+a report's max_stored_edges is their sum over the repetitions, since a
+run holds all its samples at once.
 
 Repetition i draws its coins from trial_rng(master_seed, i) alone, so an
 l-repetition run reports exactly the l independent repetitions.
@@ -193,35 +200,62 @@ def choose_repetitions(epsilon):
 # ---------------------------------------------------------------------------
 # the counting kernels, also driven exhaustively by the test oracles
 
-def _count_and_add(adj, us, vs, keeps, census):
-    """Walk the edges (us[i], vs[i]) in order against the sample `adj`, a
-    dict of neighbour sets.  A dropped edge adds its endpoints' common
-    sampled neighbours to s; a kept edge joins the sample, after adding
-    that same count to t when `census` is true.  Returns (s, t).
+def _count_and_add(adj, chunks, census, core=()):
+    """Walk the edges of `chunks`, triples (us, vs, keeps) of lists, in
+    order against the sample `adj`, a dict of neighbour sets.  A dropped
+    edge (us[i], vs[i]) adds its endpoints' common sampled neighbours to s;
+    a kept edge joins the sample, after adding that same count to t when
+    `census` is true.  Returns (s, t).
+
+    The vertices of `core`, at most _HEAVY_MAX_N ids, are bits: a sample
+    vertex holds its neighbours in the core as the bits of one int, and
+    adj holds only its other neighbours, so the core's part of a count is
+    one AND and a bit count.  With no core the masks stay empty.
 
     Each triangle of the sample is counted in t once, when its last edge
     arrives, so t summed over the kept edges is the sample's triangle
     count."""
     s = t = 0
     get = adj.get
-    for u, v, k in zip(us, vs, keeps):
-        nu = get(u)
-        if k:
-            nv = get(v)
-            if nu is None:
-                adj[u] = {v}
+    bits = {h: 1 << i for i, h in enumerate(core)}
+    heavy = bool(bits)
+    masks = {}
+    mask = masks.get
+    for us, vs, keeps in chunks:
+        for u, v, k in zip(us, vs, keeps):
+            nu = get(u)
+            if k:
+                nv = get(v)
+                if census:
+                    if nu and nv:
+                        t += len(nu & nv)
+                    if heavy:
+                        t += (mask(u, 0) & mask(v, 0)).bit_count()
+                if heavy and (u in bits or v in bits):
+                    # an end joined to a core vertex sets its bit, and True
+                    # marks that end as needing no set entry
+                    bu, bv = bits.get(u), bits.get(v)
+                    if bv:
+                        masks[u] = mask(u, 0) | bv
+                        nu = True
+                    if bu:
+                        masks[v] = mask(v, 0) | bu
+                        nv = True
+                if nu is None:
+                    adj[u] = {v}
+                elif nu is not True:
+                    nu.add(v)
+                if nv is None:
+                    adj[v] = {u}
+                elif nv is not True:
+                    nv.add(u)
             else:
-                if census and nv:
-                    t += len(nu & nv)
-                nu.add(v)
-            if nv is None:
-                adj[v] = {u}
-            else:
-                nv.add(u)
-        elif nu:
-            nv = get(v)
-            if nv:
-                s += len(nu & nv)
+                if nu:
+                    nv = get(v)
+                    if nv:
+                        s += len(nu & nv)
+                if heavy:
+                    s += (mask(u, 0) & mask(v, 0)).bit_count()
     return s, t
 
 
@@ -235,10 +269,17 @@ def _locate(ids, X):
 def _heavy_core(KU, KV):
     """The sorted ids of the sample vertices with at least _HEAVY_MIN_DEGREE
     of the sample edges (KU[i], KV[i]), at most _HEAVY_MAX_N of them,
-    highest degrees first."""
-    if KU.size < _HEAVY_MIN_DEGREE:
+    highest degrees first.  KU and KV are int64 arrays or lists."""
+    if len(KU) < _HEAVY_MIN_DEGREE:
         return np.empty(0, dtype=np.int64)
-    ids, deg = np.unique(np.concatenate((KU, KV)), return_counts=True)
+    ends = np.concatenate((KU, KV))
+    ends.sort()
+    # an id of that degree fills _HEAVY_MIN_DEGREE sorted places in a row
+    run = _HEAVY_MIN_DEGREE - 1
+    if not (ends[run:] == ends[:ends.size - run]).any():
+        return np.empty(0, dtype=np.int64)
+    first = np.flatnonzero(np.concatenate(([True], ends[1:] != ends[:-1])))
+    ids, deg = ends[first], np.diff(first, append=ends.size)
     heavy = deg >= _HEAVY_MIN_DEGREE
     if np.count_nonzero(heavy) > _HEAVY_MAX_N:
         heavy[np.argsort(-deg, kind="stable")[_HEAVY_MAX_N:]] = False
@@ -266,7 +307,7 @@ class _Sample:
             light, h = np.where(hu, KV, KU)[one], np.where(hu, iu, iv)[one]
             LU, LV = KU[~both], KV[~both]
         adj = {}
-        _count_and_add(adj, LU.tolist(), LV.tolist(), repeat(True), False)
+        _count_and_add(adj, [(LU.tolist(), LV.tolist(), repeat(True))], False)
         held = np.fromiter(adj, dtype=np.int64, count=len(adj))
         sets = np.empty(held.size, dtype=object)
         sets[:] = list(adj.values())
@@ -333,18 +374,24 @@ def alg2_detected_count(edges, keep):
     return _sample_then_closures(edges, keep, census=True)
 
 
+def _walk_in_order(edges_in_order, keep, census):
+    """The one-pass walk over an explicit arrival order and keep mask, with
+    the kept edges' `_heavy_core` held as bit masks: (s, t) of
+    `_count_and_add`."""
+    us, vs = [e[0] for e in edges_in_order], [e[1] for e in edges_in_order]
+    core = _heavy_core([u for u, k in zip(us, keep) if k],
+                       [v for v, k in zip(vs, keep) if k])
+    return _count_and_add({}, [(us, vs, keep)], census, core.tolist())
+
+
 def alg1_one_pass_count(edges_in_order, keep):
     """Single-pass counter s for an explicit arrival order and keep mask."""
-    us = [e[0] for e in edges_in_order]
-    vs = [e[1] for e in edges_in_order]
-    return _count_and_add({}, us, vs, keep, census=False)[0]
+    return _walk_in_order(edges_in_order, keep, census=False)[0]
 
 
 def alg2_one_pass_count(edges_in_order, keep):
     """Single-pass repetition count r for an explicit arrival order and mask."""
-    us = [e[0] for e in edges_in_order]
-    vs = [e[1] for e in edges_in_order]
-    return sum(_count_and_add({}, us, vs, keep, census=True))
+    return sum(_walk_in_order(edges_in_order, keep, census=True))
 
 
 # ---------------------------------------------------------------------------
@@ -370,16 +417,17 @@ def _dense_fits(stream, p):
             and p * stream.m >= (nmax + 1) ** 2 / 128.0)
 
 
-def _sample_pass(stream, p, rng, census):
-    """Pass 1 of the sets engine: the kept edges as a _Sample, and how many
-    they are."""
+def _kept_edges(stream, p, rng, keeps=None):
+    """One pass of `_coins`: the endpoints (KU, KV) of the kept edges, in
+    stream order.  Each chunk's keep mask is appended to the list `keeps`,
+    when one is given."""
     kus, kvs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for U, V, keep in _coins(stream, p, rng):
+        if keeps is not None:
+            keeps.append(keep)
         kus.append(U[keep])
         kvs.append(V[keep])
-    KU, KV = np.concatenate(kus), np.concatenate(kvs)
-    del kus, kvs
-    return _Sample(KU, KV, census), KU.size
+    return np.concatenate(kus), np.concatenate(kvs)
 
 
 def _two_pass_counts(stream, p, make_rng, census):
@@ -406,7 +454,9 @@ def _two_pass_counts(stream, p, make_rng, census):
         def closes(U, V):
             return int(common[U, V].sum(dtype=np.float64))
     else:
-        sample, kept = _sample_pass(stream, p, make_rng(), census)
+        KU, KV = _kept_edges(stream, p, make_rng())
+        sample, kept = _Sample(KU, KV, census), KU.size
+        del KU, KV
         t_in, closes = sample.triangles, sample.count
     s = 0
     for U, V, keep in _coins(stream, p, make_rng()):
@@ -417,16 +467,20 @@ def _two_pass_counts(stream, p, make_rng, census):
 
 def _one_pass_count(stream, p, rng, census):
     """One pass that keeps each edge with probability p and counts every
-    chunk against the sample as it grows: the triangles each dropped edge
+    edge against the sample as it grows: the triangles each dropped edge
     closes, plus, when `census`, those each kept edge closes before it
-    joins.  Returns (count, kept)."""
-    adj = {}
-    count = kept = 0
-    for U, V, keep in _coins(stream, p, rng):
-        count += sum(_count_and_add(adj, U.tolist(), V.tolist(), keep.tolist(),
-                                    census))
-        kept += int(keep.sum())
-    return count, kept
+    joins.  Returns (count, kept).
+
+    A look-ahead pass draws the coins first and gathers the kept edges,
+    whose `_heavy_core` the counting pass then holds as bit masks; the
+    counting pass replays the same coins, chunk by chunk."""
+    keeps = []
+    KU, KV = _kept_edges(stream, p, rng, keeps)
+    core, kept = _heavy_core(KU, KV).tolist(), KU.size
+    del KU, KV
+    chunks = ((U.tolist(), V.tolist(), keep.tolist())
+              for (U, V), keep in zip(stream.iter_chunks(), keeps))
+    return sum(_count_and_add({}, chunks, census, core)), kept
 
 
 # ---------------------------------------------------------------------------

@@ -243,23 +243,35 @@ class EdgeStream:
             self.source_kind, self.m, self.order, self.seed)
 
 
-def _memory_source_from(source):
+def _id_arrays(U, V, copy):
+    """The endpoint arrays U and V as int64, copied when `copy`; a
+    ValueError unless they are 1-D integer arrays of equal length."""
+    U, V = np.asarray(U), np.asarray(V)
+    if U.ndim != 1 or V.ndim != 1 or U.size != V.size:
+        raise ValueError("endpoint arrays must be 1-D and of equal length")
+    for X in (U, V):
+        # numpy holds Python ints past int64 as uint64, float64 or object
+        if X.dtype.kind not in "iu" or (X.dtype.kind == "u" and X.size
+                                        and X.max() > np.iinfo(np.int64).max):
+            raise ValueError("vertex ids must be integers within int64, got "
+                             "a %s array" % X.dtype)
+    as_ids = np.array if copy else np.asarray
+    return as_ids(U, dtype=np.int64), as_ids(V, dtype=np.int64)
+
+
+def _memory_source_from(source, copy):
     if isinstance(source, AdjacencyGraph):
         U, V = source.edge_arrays()
         return _MemorySource(U, V)
     if isinstance(source, tuple) and len(source) == 2 and isinstance(source[0], np.ndarray):
-        U = np.asarray(source[0], dtype=np.int64)
-        V = np.asarray(source[1], dtype=np.int64)
-        if U.shape != V.shape:
-            raise ValueError("endpoint arrays must have equal length")
-        return _MemorySource(U, V)
+        return _MemorySource(*_id_arrays(source[0], source[1], copy))
     pairs = list(source)
     if not pairs:
         return _MemorySource(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    arr = np.array(pairs, dtype=np.int64)
+    arr = np.array(pairs)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("in-memory edge source must be pairs of vertex ids")
-    return _MemorySource(arr[:, 0].copy(), arr[:, 1].copy())
+    return _MemorySource(*_id_arrays(arr[:, 0], arr[:, 1], True))
 
 
 def open_stream(source, order=Order.AS_GIVEN, seed=0, validate=True):
@@ -271,12 +283,17 @@ def open_stream(source, order=Order.AS_GIVEN, seed=0, validate=True):
     largest id, which the estimators use for parameter selection.  A file
     is always scanned, and its stream keeps the parsed endpoint arrays for
     its passes; `validate=False` skips the scan of in-memory sources only.
+    Ids that are not integers, or endpoint arrays that are not 1-D, are a
+    ValueError either way.  A validated stream copies a pair of endpoint
+    arrays, so later writes to them do not reach its passes; with
+    `validate=False` an int64 pair is used as it is, and the caller must
+    leave it unchanged while the stream is in use.
     """
     if isinstance(source, (str, os.PathLike)):
         src = _FileSource(source)
         n, max_id = src.scan()
     else:
-        src = _memory_source_from(source)
+        src = _memory_source_from(source, copy=validate)
         if validate:
             n, max_id = src.scan()
         else:

@@ -27,6 +27,7 @@ from tricount import (AdjacencyGraph, count_triangles_exact, triangle_stats,
                       choose_p_alg2, choose_repetitions,
                       alg1_two_pass, alg1_one_pass_random,
                       alg2_two_pass, alg2_one_pass_random, trial_rng)
+from tricount import estimators
 from tricount.estimators import (alg1_pass2_count, alg2_detected_count,
                                  alg1_one_pass_count, alg2_one_pass_count)
 
@@ -62,26 +63,34 @@ def test_criterion_1_exhaustive_two_pass_oracle(small_suite):
 def test_criterion_2_exhaustive_one_pass_oracle(tiny_suite):
     """Per-triangle detection probability p^2(1-p) for the one-pass alg1
     variant and p^2 for the one-pass alg2 variant, by enumerating all
-    m! 2^m (order, mask) outcomes on graphs with at most 6 edges."""
+    m! 2^m (order, mask) outcomes on graphs with at most 6 edges.  The
+    sweep runs once with the default heavy core and once, at p = 0.3, with
+    a core forced down to sample degree 1 and at most 3 vertices, whose
+    neighbours the counters hold as bit masks."""
     worst = 0.0
     checked = 0
-    for name, g in tiny_suite.items():
-        edges = g.edges()
-        assert len(edges) <= 6
-        t = oracles.brute_triangles(edges)
-        if t == 0:
-            continue
-        checked += 1
-        for p in (0.3, 0.6):
-            es = oracles.expectation_over_orders_and_samplings(
-                edges, p, alg1_one_pass_count)
-            worst = max(worst, abs(es / t - p * p * (1 - p)))
-            er = oracles.expectation_over_orders_and_samplings(
-                edges, p, alg2_one_pass_count)
-            worst = max(worst, abs(er / t - p * p))
+    for core, ps in ((None, (0.3, 0.6)), ((1, 3), (0.3,))):
+        with pytest.MonkeyPatch.context() as mp:
+            if core is not None:
+                mp.setattr(estimators, "_HEAVY_MIN_DEGREE", core[0])
+                mp.setattr(estimators, "_HEAVY_MAX_N", core[1])
+            for name, g in tiny_suite.items():
+                edges = g.edges()
+                assert len(edges) <= 6
+                t = oracles.brute_triangles(edges)
+                if t == 0:
+                    continue
+                checked += 1
+                for p in ps:
+                    es = oracles.expectation_over_orders_and_samplings(
+                        edges, p, alg1_one_pass_count)
+                    worst = max(worst, abs(es / t - p * p * (1 - p)))
+                    er = oracles.expectation_over_orders_and_samplings(
+                        edges, p, alg2_one_pass_count)
+                    worst = max(worst, abs(er / t - p * p))
     report(2, "exhaustive one-pass oracle", worst <= 1e-9,
-           "max detection probability deviation %.3g over %d graphs (tol 1e-9)"
-           % (worst, checked))
+           "max detection probability deviation %.3g over %d graphs, default "
+           "and forced heavy core (tol 1e-9)" % (worst, checked // 2))
 
 
 def test_criterion_3_monte_carlo_unbiasedness(planted_2000):

@@ -13,6 +13,7 @@ from tricount import (open_stream, Order, gen_complete,
                       alg1_two_pass, alg1_one_pass_random, alg2_two_pass,
                       alg2_one_pass_random, AdjacencyGraph, write_edge_list)
 from tricount import estimators
+from tricount import stream as stream_module
 from tricount.estimators import (alg1_pass2_count, alg2_detected_count,
                                  alg1_one_pass_count, alg2_one_pass_count,
                                  _dense_fits, _heavy_core, _Sample)
@@ -315,8 +316,9 @@ def test_alg1_engines_match_oracle(tmp_path_factory, edges, p, seed):
 
 def check_estimators_against_oracles(edges, path, p, seed, l=2, dense=True):
     """Every estimator's report on `edges`, in memory and in the file
-    `path`, on the dense engine (unless not `dense`) and on the sets engine
-    under every heavy core, against tests/oracles.py."""
+    `path`, against tests/oracles.py: the two-pass ones on the dense engine
+    (unless not `dense`) and on the sets engine under every heavy core, the
+    one-pass ones under every heavy core."""
     m = len(edges)
     keep = sampler_rng(seed).random(m) < p
     reps = [trial_rng(seed, i).random(m) < p for i in range(l)]
@@ -340,12 +342,15 @@ def check_estimators_against_oracles(edges, path, p, seed, l=2, dense=True):
             assert a2.per_trial_estimates == [r / denom for r in rs]
             assert a2.max_stored_edges == stored
         shuffled = open_stream(source, order=Order.RANDOM_PERMUTATION, seed=seed)
-        a1 = alg1_one_pass_random(shuffled, p, seed)
-        assert a1.estimate == s_rand / (p * p * (1.0 - p))
-        assert a1.max_stored_edges == int(keep.sum())
-        a2 = alg2_one_pass_random(shuffled, p, l, seed)
-        assert a2.per_trial_estimates == [r / (p * p) for r in rs_rand]
-        assert a2.max_stored_edges == stored
+        for core in HEAVY_CORES:
+            with pytest.MonkeyPatch.context() as mp:
+                force_heavy(mp, core)
+                a1 = alg1_one_pass_random(shuffled, p, seed)
+                a2 = alg2_one_pass_random(shuffled, p, l, seed)
+            assert a1.estimate == s_rand / (p * p * (1.0 - p))
+            assert a1.max_stored_edges == int(keep.sum())
+            assert a2.per_trial_estimates == [r / (p * p) for r in rs_rand]
+            assert a2.max_stored_edges == stored
 
 
 @settings(max_examples=60, deadline=None)
@@ -429,6 +434,62 @@ def test_sample_splits_heavy_and_light(monkeypatch, core):
     assert sample.count(QU, QV) == sum(
         len(adj.get(u, set()) & adj.get(v, set())) for u, v in queries)
     assert sample.triangles == oracles.brute_triangles(edges)
+
+
+@pytest.mark.parametrize("core", HEAVY_CORES[1:])
+def test_one_pass_masks_match_oracle_at_huge_ids(monkeypatch, core):
+    # random graphs on 12 ids just below 2^62 in random arrival orders: the
+    # list counters, whose look-ahead core holds its vertices as bit masks,
+    # equal the plain walk of tests/oracles.py
+    force_heavy(monkeypatch, core)
+    rng = random.Random(7)
+    base = 2 ** 62 - 12
+    for _ in range(40):
+        edges = [(base + u, base + v) for u in range(12) for v in range(u + 1, 12)
+                 if rng.random() < 0.5]
+        rng.shuffle(edges)
+        p = rng.choice((0.3, 0.6, 0.9))
+        keep = [rng.random() < p for _ in edges]
+        kept = [e for e, k in zip(edges, keep) if k]
+        assert len(_heavy_core(*np.array(kept, dtype=np.int64).reshape(-1, 2).T)) > 0
+        s, r = oracles.one_pass_counts(edges, keep)
+        assert alg1_one_pass_count(edges, keep) == s
+        assert alg2_one_pass_count(edges, keep) == r
+
+
+def test_one_pass_walk_gets_the_kept_edges_core(monkeypatch):
+    # any core gives the same integers, so only the walk's argument shows
+    # that the look-ahead found the heavy core of the edges the pass keeps
+    edges = [(0, v) for v in range(1, 61)] + [(v, v + 1) for v in range(1, 60)]
+    shuffled = open_stream(edges, order=Order.RANDOM_PERMUTATION, seed=2)
+    cores = []
+    walk = estimators._count_and_add
+
+    def spy(adj, chunks, census, core=()):
+        cores.append(core)
+        return walk(adj, chunks, census, core)
+
+    monkeypatch.setattr(estimators, "_count_and_add", spy)
+    alg1_one_pass_random(shuffled, 0.9, 3)
+    U, V = next(shuffled.iter_chunks())
+    keep = sampler_rng(3).random(len(edges)) < 0.9
+    assert cores == [_heavy_core(U[keep], V[keep]).tolist()] == [[0]]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 65536])
+def test_one_pass_reports_do_not_depend_on_chunks(monkeypatch, chunk):
+    # the look-ahead draws a pass's coins before the counting walk replays
+    # them; one uniform per edge in stream order, whatever the chunk size
+    g = random_dense_graph(40, 0.5, 3)
+    shuffled = open_stream(g, order=Order.RANDOM_PERMUTATION, seed=4)
+    want = [alg1_one_pass_random(shuffled, 0.6, 5).to_json(),
+            alg2_one_pass_random(shuffled, 0.6, 3, 5).to_json()]
+    monkeypatch.setattr(stream_module, "_CHUNK_SIZE", chunk)
+    for core in (None, (2, 3)):
+        with pytest.MonkeyPatch.context() as mp:
+            force_heavy(mp, core)
+            assert [alg1_one_pass_random(shuffled, 0.6, 5).to_json(),
+                    alg2_one_pass_random(shuffled, 0.6, 3, 5).to_json()] == want
 
 
 # ---------------------------------------------------------------------------

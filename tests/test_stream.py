@@ -178,6 +178,45 @@ def test_open_stream_sources():
     assert s3.m == 0 and list(s3.iter_edges()) == []
 
 
+@pytest.mark.parametrize("source", [
+    [(0.5, 1.7)],
+    [(0, 1), (1, 2.0)],
+    (np.array([0.5, 1.0]), np.array([1.7, 2.0])),
+    (np.array([0, 1]), np.array([1.0, 2.0])),
+    [("0", "1")],
+    [(0, 2 ** 63)],
+    [(2 ** 63, 2 ** 63 + 1)],
+    (np.array([0], dtype=np.uint64), np.array([2 ** 63], dtype=np.uint64)),
+])
+def test_non_integer_ids_are_rejected(source):
+    # truncating 0.5 and 1.7 would yield the edge (0, 1), and ids past int64
+    # would wrap to negative ones
+    for validate in (True, False):
+        with pytest.raises(ValueError, match="integers"):
+            open_stream(source, validate=validate)
+
+
+def test_two_dimensional_endpoint_arrays_are_rejected():
+    U = np.array([[0, 1], [2, 3]])
+    V = np.array([[4, 5], [6, 7]])
+    for validate in (True, False):
+        with pytest.raises(ValueError, match="1-D"):
+            open_stream((U, V), validate=validate)
+    with pytest.raises(ValueError, match="equal length"):
+        open_stream((np.array([0, 1]), np.array([2])))
+
+
+def test_validated_stream_copies_the_endpoint_arrays():
+    U = np.array([0, 1, 2, 3])
+    V = np.array([1, 2, 3, 4])
+    s = open_stream((U, V))
+    r = open_stream((U, V), order=Order.RANDOM_PERMUTATION, seed=1)
+    U[3] = 4
+    V[0] = 0
+    assert list(s.iter_edges()) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    assert sorted(r.iter_edges()) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+
+
 def test_order_validation():
     with pytest.raises(ValueError):
         open_stream(EDGES3, order="sorted")
