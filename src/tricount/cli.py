@@ -115,7 +115,7 @@ def _cmd_gen(args):
         perm = order_rng(args.shuffle).permutation(len(edges))
         edges = [edges[i] for i in perm]
     write_edge_list(args.out, edges)
-    t = _summary_count(g)
+    t = _summary_count(g.edge_arrays())
     print("wrote %s: n=%d m=%d%s" % (args.out, g.vertex_count, g.edge_count,
                                      "" if t is None else " t=%d" % t))
     return 0
@@ -207,6 +207,16 @@ def _cmd_estimate(args):
 # ---------------------------------------------------------------------------
 # bench
 
+# bench --gen kinds: the generator and the keys it takes, in argument
+# order; a key left out is 0
+_GEN_SPECS = {
+    "planted": ("gen_planted", ("m", "t", "seed")),
+    "complete": ("gen_complete", ("n",)),
+    "tripartite": ("gen_tripartite", ("a", "b", "c")),
+    "disj": ("gen_disjointness_random", ("n", "T", "intersecting", "seed")),
+}
+
+
 def _parse_gen_spec(spec):
     """Parse 'kind:key=val,key=val' generator specs for bench."""
     kind, _, rest = spec.partition(":")
@@ -217,19 +227,14 @@ def _parse_gen_spec(spec):
             if not key or not val:
                 raise ParamError("bad generator spec %r" % spec)
             params[key] = int(val)
-    if kind == "planted":
-        return generators.gen_planted(params.get("m", 0), params.get("t", 0),
-                                      params.get("seed", 0))
-    if kind == "complete":
-        return generators.gen_complete(params.get("n", 0))
-    if kind == "tripartite":
-        return generators.gen_tripartite(params.get("a", 0), params.get("b", 0),
-                                         params.get("c", 0))
-    if kind == "disj":
-        return generators.gen_disjointness_random(
-            params.get("n", 0), params.get("T", 0),
-            bool(params.get("intersecting", 0)), params.get("seed", 0))
-    raise ParamError("unknown generator kind %r in spec" % kind)
+    if kind not in _GEN_SPECS:
+        raise ParamError("unknown generator kind %r in spec" % kind)
+    name, keys = _GEN_SPECS[kind]
+    for key in params:
+        if key not in keys:
+            raise ParamError("generator kind %r takes no key %r (it takes %s)"
+                             % (kind, key, ", ".join(keys)))
+    return getattr(generators, name)(*(params.get(k, 0) for k in keys))
 
 
 def _parse_sweep(sweep):
@@ -260,12 +265,12 @@ def _cmd_bench(args):
         raise ParamError("--trials must be positive, got %d" % args.trials)
     if args.input is not None:
         U, V = read_edge_arrays(args.input)
-        g = (U, V)
         n = _vertex_range(U, V)[0]
     else:
-        g = _parse_gen_spec(args.gen)
-        U, V = g.edge_arrays()
-        n = g.vertex_count
+        graph = _parse_gen_spec(args.gen)
+        U, V = graph.edge_arrays()
+        n = graph.vertex_count
+    g = (U, V)
 
     predicted = _predict_oracle_seconds(g)
     if predicted > args.oracle_budget:

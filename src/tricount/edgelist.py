@@ -18,7 +18,7 @@ import re
 
 import numpy as np
 
-from .graph import canonical_edge, GraphError
+from .graph import canonical_edge, GraphError, _first_repeat
 
 _INT64_MAX = 2**63 - 1
 
@@ -171,19 +171,6 @@ def iter_edge_file(path):
     comments and blanks."""
     for U, V, lineno in iter_edge_blocks(path):
         yield from zip(zip(U.tolist(), V.tolist()), lineno.tolist())
-
-
-def _first_repeat(U, V):
-    """Index of the first edge (U[i], V[i]) equal to an earlier one, or
-    None when all are distinct."""
-    if U.size < 2:
-        return None
-    order = np.lexsort((V, U))  # stable: equal edges stay in input order
-    same = U[order[1:]] == U[order[:-1]]
-    same &= V[order[1:]] == V[order[:-1]]
-    if not same.any():
-        return None
-    return int(order[1:][same].min())
 
 
 def _distinct_edges(blocks):

@@ -1,8 +1,11 @@
 """Test graphs and hard-instance gadgets with known triangle counts.
 
-Ground truth is never assumed: gen_planted re-counts its output before
-returning it, and the gadgets are small enough that the test suite checks
-them against the exact counter as well.
+Each generator builds its graph's canonical edge arrays with numpy, in
+sorted order, and hands them to AdjacencyGraph unchecked; the test suite
+checks every generator against a plain nested-loop reference.  Ground
+truth is never assumed: gen_planted re-counts its output before returning
+it, and the gadgets are small enough that the test suite checks them
+against the exact counter as well.
 """
 
 import math
@@ -10,7 +13,7 @@ import math
 import numpy as np
 
 from .edgelist import _INT64_MAX
-from .graph import AdjacencyGraph, GraphError, count_triangles_exact
+from .graph import AdjacencyGraph, count_triangles_exact
 from .stream import (EdgeStream, Order, open_stream, _ExpanderSource, _rechunk,
                      check_seed)
 
@@ -34,23 +37,22 @@ def gen_planted(m, t_target, seed=0):
     if 3 * t_target > m:
         raise GeneratorError("need m >= 3*t_target (each planted triangle "
                              "spends 3 edges); got m=%d, t_target=%d" % (m, t_target))
-    g = AdjacencyGraph()
-    for i in range(t_target):
-        a, b, c = 3 * i, 3 * i + 1, 3 * i + 2
-        g.add_edge(a, b)
-        g.add_edge(a, c)
-        g.add_edge(b, c)
-    fill = m - 3 * t_target
+    # clique i's edges (3i, 3i+1), (3i, 3i+2), (3i+1, 3i+2), in order
+    base = 3 * t_target
+    first = np.arange(0, base, 3).repeat(3)
+    U = [first + np.tile([0, 0, 1], t_target)]
+    V = [first + np.tile([1, 2, 2], t_target)]
+    n = base
+    fill = m - base
     if fill > 0:
-        side = max(1, math.isqrt(fill - 1) + 1)
-        while side * side < fill:
-            side += 1
-        base = 3 * t_target
+        side = math.isqrt(fill - 1) + 1  # the smallest side with side^2 >= fill
         rng = np.random.default_rng(np.random.SeedSequence((check_seed(seed), 7)))
-        picks = rng.choice(side * side, size=fill, replace=False)
-        for x in picks.tolist():
-            i, j = divmod(x, side)
-            g.add_edge(base + i, base + side + j)
+        # sorting the picks sorts the filler edges (base + i, base + side + j)
+        i, j = np.divmod(np.sort(rng.choice(side * side, size=fill, replace=False)), side)
+        U.append(base + i)
+        V.append(base + side + j)
+        n += np.unique(i).size + np.unique(j).size
+    g = AdjacencyGraph._of_arrays(np.concatenate(U), np.concatenate(V), n)
     got = count_triangles_exact(g)
     if got != t_target:
         raise GeneratorError("internal check failed: wanted %d triangles, built %d"
@@ -63,11 +65,8 @@ def gen_complete(n):
     n = int(n)
     if n < 1:
         raise GeneratorError("n must be at least 1")
-    g = AdjacencyGraph(vertices=range(n))
-    for u in range(n):
-        for v in range(u + 1, n):
-            g.add_edge(u, v)
-    return g
+    U, V = np.triu_indices(n, 1)
+    return AdjacencyGraph._of_arrays(U, V, n, range(n))
 
 
 def gen_tripartite(a, b, c):
@@ -76,20 +75,11 @@ def gen_tripartite(a, b, c):
     a, b, c = int(a), int(b), int(c)
     if min(a, b, c) < 1:
         raise GeneratorError("all three part sizes must be at least 1")
-    g = AdjacencyGraph()
-    pa = range(a)
-    pb = range(a, a + b)
-    pc = range(a + b, a + b + c)
-    for u in pa:
-        for v in pb:
-            g.add_edge(u, v)
-    for u in pa:
-        for v in pc:
-            g.add_edge(u, v)
-    for u in pb:
-        for v in pc:
-            g.add_edge(u, v)
-    return g
+    # each vertex of A is joined to all of B and C, each of B to all of C
+    n = a + b + c
+    U = np.concatenate((np.arange(a).repeat(b + c), np.arange(a, a + b).repeat(c)))
+    V = np.concatenate((np.tile(np.arange(a, n), a), np.tile(np.arange(a + b, n), b)))
+    return AdjacencyGraph._of_arrays(U, V, n)
 
 
 def blow_up(source, T):
@@ -134,12 +124,9 @@ def blow_up(source, T):
 
 
 def _check_bitvector(x, name):
-    out = []
-    for b in x:
-        b = int(b)
-        if b not in (0, 1):
-            raise GeneratorError("%s must contain only 0s and 1s" % name)
-        out.append(b)
+    out = [int(b) for b in x]
+    if any(b not in (0, 1) for b in out):
+        raise GeneratorError("%s must contain only 0s and 1s" % name)
     return out
 
 
@@ -163,21 +150,14 @@ def gen_disjointness(x, y, T):
     if T < 1 or sq * sq != T:
         raise GeneratorError("T must be a positive perfect square, got %d" % T)
     n_len = len(x)
-    b0 = n_len
-    c0 = n_len + sq
-    g = AdjacencyGraph(vertices=range(n_len + 2 * sq))
-    for i, bit in enumerate(y):
-        if bit:
-            for k in range(sq):
-                g.add_edge(i, b0 + k)
-    for j in range(sq):
-        for k in range(sq):
-            g.add_edge(c0 + j, b0 + k)
-    for i, bit in enumerate(x):
-        if bit:
-            for j in range(sq):
-                g.add_edge(c0 + j, i)
-    return g
+    B = n_len + np.arange(sq)
+    C = B + sq
+    ya, xa = np.flatnonzero(y), np.flatnonzero(x)
+    U = np.concatenate((ya.repeat(sq), xa.repeat(sq), B.repeat(sq)))
+    V = np.concatenate((np.tile(B, ya.size), np.tile(C, xa.size), np.tile(C, sq)))
+    order = np.lexsort((V, U))
+    n = n_len + 2 * sq
+    return AdjacencyGraph._of_arrays(U[order], V[order], n, range(n))
 
 
 def gen_disjointness_random(n_len, T, intersecting, seed=0):
@@ -192,26 +172,17 @@ def gen_disjointness_random(n_len, T, intersecting, seed=0):
         raise GeneratorError("n_len must be a positive even integer, got %d" % n_len)
     w = n_len // 2
     rng = np.random.default_rng(np.random.SeedSequence((check_seed(seed), 8)))
-    x = [0] * n_len
-    y = [0] * n_len
+    x = np.zeros(n_len, dtype=np.int64)
     if intersecting:
+        y = x.copy()
         shared = int(rng.integers(n_len))
-        rest = [i for i in range(n_len) if i != shared]
-        xs = rng.choice(len(rest), size=w - 1, replace=False)
-        x_rest = {rest[i] for i in xs.tolist()}
-        pool = [i for i in rest if i not in x_rest]
-        if len(pool) < w - 1:
-            raise GeneratorError("cannot place both vectors with a single overlap")
-        ys = rng.choice(len(pool), size=w - 1, replace=False)
-        y_rest = {pool[i] for i in ys.tolist()}
-        for i in x_rest | {shared}:
-            x[i] = 1
-        for i in y_rest | {shared}:
-            y[i] = 1
+        rest = np.delete(np.arange(n_len), shared)
+        xs = rest[rng.choice(rest.size, size=w - 1, replace=False)]
+        pool = np.setdiff1d(rest, xs)  # the w positions left for y
+        ys = pool[rng.choice(pool.size, size=w - 1, replace=False)]
+        x[xs] = y[ys] = 1
+        x[shared] = y[shared] = 1
     else:
-        xs = rng.choice(n_len, size=w, replace=False)
-        for i in xs.tolist():
-            x[i] = 1
-        for i in range(n_len):
-            y[i] = 1 - x[i]
+        x[rng.choice(n_len, size=w, replace=False)] = 1
+        y = 1 - x
     return gen_disjointness(x, y, T)

@@ -9,10 +9,11 @@ Nishizeki 1985), practical up to a few million edges.  Dense graphs with
 small vertex ranges additionally get a BLAS matrix path that computes the
 same count, census and heavy/light split much faster.
 
-The counts take an AdjacencyGraph, or a pair (U, V) of int64 arrays of
-canonical endpoints (U[i] < V[i], no edge twice) such as
-`edgelist.read_edge_arrays` returns, so a file is counted without building
-a graph.
+An AdjacencyGraph is its canonical edge arrays (U, V): U[i] < V[i],
+sorted, no edge twice.  Its neighbour-set dict is only built for callers
+that query neighbours or add edges.  The counts read canonical (U, V)
+pairs only, a graph's own or one such as `edgelist.read_edge_arrays`
+returns, so a file is counted without building a graph.
 """
 
 import numpy as np
@@ -43,82 +44,119 @@ def canonical_edge(u, v):
     return (u, v) if u < v else (v, u)
 
 
+def _first_repeat(U, V, order=None):
+    """Index of the first edge (U[i], V[i]) equal to an earlier one, or
+    None when all are distinct.  `order` is np.lexsort((V, U)), when the
+    caller has it already."""
+    if U.size < 2:
+        return None
+    if order is None:
+        order = np.lexsort((V, U))  # stable: equal edges stay in input order
+    same = U[order[1:]] == U[order[:-1]]
+    same &= V[order[1:]] == V[order[:-1]]
+    if not same.any():
+        return None
+    return int(order[1:][same].min())
+
+
 class AdjacencyGraph:
-    """Simple undirected graph stored as a dict of neighbor sets.
+    """Simple undirected graph held as its canonical edge arrays: int64
+    (U, V) with U[i] < V[i], sorted, read-only, which the exact counts
+    read directly.  `vertex_count` also counts the isolated vertices
+    declared through `vertices`.  The dict of neighbour sets behind
+    `neighbors`, `has_edge`, `degree`, `vertices` and `add_edge` is built
+    on the first such call; `add_edge` keeps it and the arrays in step.
 
     Duplicate edges are an error, not silently dropped: every input model
     in this package streams distinct edges, so a repeat means the input is
-    broken.  Isolated vertices may be declared through `vertices`.
+    broken.  The constructor checks all edges at once and raises the error
+    `add_edge` would raise at the first offending edge in input order.
     """
 
     def __init__(self, edges=(), vertices=()):
-        self.adj = {}
-        self.edge_count = 0
-        for v in vertices:
-            self.add_vertex(v)
+        ids = np.array(list(vertices), dtype=np.int64)
+        if (ids < 0).any():
+            raise GraphError("vertex ids must be non-negative, got %d"
+                             % ids[(ids < 0).argmax()])
+        us, vs = [], []
         for u, v in edges:
-            self.add_edge(u, v)
+            us.append(u)
+            vs.append(v)
+        U, V = np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
+        bad = (U < 0) | (V < 0) | (U == V)
+        lo, hi = np.minimum(U, V), np.maximum(U, V)
+        order = np.lexsort((hi, lo))
+        i = _first_repeat(lo, hi, order)
+        if bad.any() and (i is None or bad.argmax() < i):
+            canonical_edge(us[bad.argmax()], vs[bad.argmax()])  # raises its GraphError
+        if i is not None:
+            raise DuplicateEdgeError("duplicate edge (%d, %d)" % (lo[i], hi[i]))
+        n = np.unique(np.concatenate((lo, hi, ids))).size
+        self._hold(lo[order], hi[order], n, ids)
 
-    def add_vertex(self, v):
-        v = int(v)
-        if v < 0:
-            raise GraphError("vertex ids must be non-negative, got %d" % v)
-        if v not in self.adj:
-            self.adj[v] = set()
+    @classmethod
+    def _of_arrays(cls, U, V, n, vertices=()):
+        """The graph of n vertices, `vertices` among them, whose edges
+        are the canonical sorted distinct arrays (U, V), taken unchecked."""
+        g = cls.__new__(cls)
+        g._hold(U, V, n, vertices)
+        return g
+
+    def _hold(self, U, V, n, vertices, adj=None):
+        U.setflags(write=False)
+        V.setflags(write=False)
+        self._U, self._V = U, V
+        self.edge_count = int(U.size)
+        self.vertex_count = int(n)
+        self._declared = vertices
+        self._adj = adj
+
+    def _sets(self):
+        if self._adj is None:
+            adj = {v: set() for v in np.asarray(self._declared).tolist()}
+            for u, v in zip(self._U.tolist(), self._V.tolist()):
+                adj.setdefault(u, set()).add(v)
+                adj.setdefault(v, set()).add(u)
+            self._adj = adj
+        return self._adj
 
     def add_edge(self, u, v):
         u, v = canonical_edge(u, v)
-        nbrs = self.adj.get(u)
-        if nbrs is not None and v in nbrs:
+        adj = self._sets()
+        nbrs = adj.setdefault(u, set())
+        if v in nbrs:
             raise DuplicateEdgeError("duplicate edge (%d, %d)" % (u, v))
-        if nbrs is None:
-            self.adj[u] = {v}
-        else:
-            nbrs.add(v)
-        if v in self.adj:
-            self.adj[v].add(u)
-        else:
-            self.adj[v] = {u}
-        self.edge_count += 1
+        nbrs.add(v)
+        adj.setdefault(v, set()).add(u)
+        lo = np.searchsorted(self._U, u)
+        hi = np.searchsorted(self._U, u, side="right")
+        k = lo + np.searchsorted(self._V[lo:hi], v)
+        self._hold(np.insert(self._U, k, u), np.insert(self._V, k, v), len(adj),
+                   self._declared, adj)
 
     def has_edge(self, u, v):
         u, v = canonical_edge(u, v)
-        nbrs = self.adj.get(u)
-        return nbrs is not None and v in nbrs
+        return v in self._sets().get(u, ())
 
     def neighbors(self, v):
-        return self.adj.get(int(v), set())
+        return self._sets().get(int(v), set())
 
     def degree(self, v):
-        return len(self.adj.get(int(v), ()))
-
-    @property
-    def vertex_count(self):
-        return len(self.adj)
+        return len(self._sets().get(int(v), ()))
 
     def vertices(self):
-        return sorted(self.adj)
+        return sorted(self._sets())
 
     def edges(self):
         """All edges as canonical pairs, sorted for deterministic output."""
-        out = []
-        for u in self.adj:
-            for v in self.adj[u]:
-                if u < v:
-                    out.append((u, v))
-        out.sort()
-        return out
+        return list(zip(self._U.tolist(), self._V.tolist()))
 
     def edge_arrays(self):
-        """Edges as two int64 arrays (canonical, sorted)."""
-        es = self.edges()
-        if not es:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        a = np.array(es, dtype=np.int64)
-        return a[:, 0].copy(), a[:, 1].copy()
+        """Edges as two read-only int64 arrays (canonical, sorted)."""
+        return self._U, self._V
 
     def __contains__(self, v):
-        return int(v) in self.adj
+        return int(v) in self._sets()
 
     def __repr__(self):
         return "AdjacencyGraph(n=%d, m=%d)" % (self.vertex_count, self.edge_count)
@@ -158,10 +196,14 @@ class EdgePartition:
             len(self.heavy), len(self.light), self.threshold)
 
 
+def _pair(g):
+    """The canonical (U, V) arrays of a graph, or g itself when it is
+    such a pair already."""
+    return g.edge_arrays() if isinstance(g, AdjacencyGraph) else g
+
+
 def _extent(g):
-    """(largest id + 1, edge count) of a graph or a canonical (U, V) pair."""
-    if isinstance(g, AdjacencyGraph):
-        return (max(g.adj) + 1 if g.adj else 0), g.edge_count
+    """(largest id + 1, edge count) of a canonical (U, V) pair."""
     V = g[1]
     return (int(V.max()) + 1 if V.size else 0), int(V.size)
 
@@ -182,16 +224,12 @@ def _dense_kernel(a, census=True):
 
 
 def _dense_matrix(g):
-    """Symmetric 0/1 float32 adjacency matrix of a graph or a canonical
-    (U, V) pair, indexed by vertex id."""
+    """Symmetric 0/1 float32 adjacency matrix of a canonical (U, V) pair,
+    indexed by vertex id."""
     nmax = _extent(g)[0]
     a = np.zeros((nmax, nmax), dtype=np.float32)
-    if isinstance(g, AdjacencyGraph):
-        for u, nbrs in g.adj.items():
-            a[u, list(nbrs)] = 1.0
-    else:
-        U, V = g
-        a[U, V] = a[V, U] = 1.0
+    U, V = g
+    a[U, V] = a[V, U] = 1.0
     return a
 
 
@@ -228,18 +266,11 @@ def _dense_two_light(g, light):
     return t_light + int(round(float(a.sum(dtype=np.float64)))) // 2
 
 
-def _edge_pairs(g):
-    """The canonical edges of a graph or a (U, V) pair, as (a, b) tuples."""
-    if isinstance(g, AdjacencyGraph):
-        return ((a, b) for a, nbrs in g.adj.items() for b in nbrs if a < b)
-    return zip(g[0].tolist(), g[1].tolist())
-
-
 def _forward_sets(g):
     """fwd[a] = {b in N(a) : b > a} for every vertex a with a higher
-    neighbour, built from the canonical edges of a graph or a (U, V) pair."""
+    neighbour, built from a canonical (U, V) pair."""
     fwd = {}
-    for a, b in _edge_pairs(g):
+    for a, b in zip(g[0].tolist(), g[1].tolist()):
         fa = fwd.get(a)
         if fa is None:
             fwd[a] = {b}
@@ -264,6 +295,7 @@ def _triangle_walk(fwd):
 
 def count_triangles_exact(g):
     """Exact number of triangles in g, a graph or a canonical (U, V) pair."""
+    g = _pair(g)
     nmax, m = _extent(g)
     if _dense_eligible(nmax, m):
         return _dense_triangle_count(g)
@@ -274,6 +306,7 @@ def triangle_stats(g):
     """Full census of a graph or a canonical (U, V) pair: t, triangles per
     edge (edges on no triangle left out), max per edge (J), max per vertex
     (K)."""
+    g = _pair(g)
     if _dense_eligible(*_extent(g)):
         return _dense_stats(g)
     per_edge = {}
@@ -303,6 +336,7 @@ def classify_edges(g, epsilon, stats=None):
     """
     if not (0.0 < epsilon < 0.5):
         raise GraphError("epsilon must lie in (0, 1/2), got %r" % (epsilon,))
+    g = _pair(g)
     if stats is None:
         stats = triangle_stats(g)
     t = stats.t
@@ -312,7 +346,7 @@ def classify_edges(g, epsilon, stats=None):
     heavy = set()
     light = set()
     per_edge = stats.per_edge
-    for e in _edge_pairs(g):
+    for e in zip(g[0].tolist(), g[1].tolist()):
         if per_edge.get(e, 0) > threshold:
             heavy.add(e)
         else:

@@ -26,8 +26,8 @@ import os
 
 import numpy as np
 
-from .graph import AdjacencyGraph, GraphError, DuplicateEdgeError
-from .edgelist import read_edge_arrays, _first_repeat
+from .graph import AdjacencyGraph, GraphError, DuplicateEdgeError, _first_repeat
+from .edgelist import read_edge_arrays
 
 
 class SourceChangedError(OSError):
@@ -91,15 +91,17 @@ def _vertex_range(U, V):
 
 
 class _MemorySource:
-    """Edges held as two int64 arrays."""
+    """Edges held as two int64 arrays; `distinct` when they are known to
+    be canonical and distinct, so the scan only counts vertices."""
 
     kind = "memory"
     seekable = True
 
-    def __init__(self, U, V):
+    def __init__(self, U, V, distinct=False):
         self.U = U
         self.V = V
         self.m = int(U.size)
+        self.distinct = distinct
 
     def iter_chunks(self, chunk_size):
         for s in range(0, self.m, chunk_size):
@@ -110,6 +112,8 @@ class _MemorySource:
 
     def scan(self):
         U, V = self.U, self.V
+        if self.distinct:
+            return _vertex_range(U, V)
         if (U == V).any():
             bad = int(U[(U == V).argmax()])
             raise GraphError("self-loop at vertex %d" % bad)
@@ -132,7 +136,7 @@ class _FileSource(_MemorySource):
     def __init__(self, path):
         self.path = str(path)
         self._stamp = self._stat()
-        super().__init__(*read_edge_arrays(self.path))
+        super().__init__(*read_edge_arrays(self.path), distinct=True)
 
     def _stat(self):
         st = os.stat(self.path)
@@ -142,9 +146,6 @@ class _FileSource(_MemorySource):
         if self._stat() != self._stamp:
             raise SourceChangedError("edge list file %s changed after the stream "
                                      "was opened; open it again" % self.path)
-
-    def scan(self):
-        return _vertex_range(self.U, self.V)
 
     def iter_chunks(self, chunk_size):
         self._check()
@@ -260,9 +261,8 @@ def _id_arrays(U, V, copy):
 
 
 def _memory_source_from(source, copy):
-    if isinstance(source, AdjacencyGraph):
-        U, V = source.edge_arrays()
-        return _MemorySource(U, V)
+    if isinstance(source, AdjacencyGraph):  # checked when it was built
+        return _MemorySource(*source.edge_arrays(), distinct=True)
     if isinstance(source, tuple) and len(source) == 2 and isinstance(source[0], np.ndarray):
         return _MemorySource(*_id_arrays(source[0], source[1], copy))
     pairs = list(source)

@@ -2,12 +2,15 @@
 
 Everything here favors obviousness over speed: triangle counts by triple
 enumeration, estimator expectations by summing over every sampling outcome
-(and every arrival order for the one-pass variants).  Production code is
-never called from this module.
+(and every arrival order for the one-pass variants), generated graphs by
+nested loops over their definitions.  Production code is never called
+from this module.
 """
 
 import itertools
 import math
+
+import numpy as np
 
 
 def _adj_from_edges(edges):
@@ -124,3 +127,50 @@ def petersen_edges():
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, 5 + i) for i in range(5)]
     return outer + inner + spokes
+
+
+# Reference generators: each returns (sorted canonical edge list, vertex
+# count), the vertex count including the isolated vertices the generator
+# declares.
+
+def complete_graph(n):
+    return [(u, v) for u in range(n) for v in range(u + 1, n)], n
+
+
+def tripartite_graph(a, b, c):
+    parts = [list(range(a)), list(range(a, a + b)), list(range(a + b, a + b + c))]
+    edges = [(u, v) for p, q in ((0, 1), (0, 2), (1, 2))
+             for u in parts[p] for v in parts[q]]
+    return sorted(edges), a + b + c
+
+
+def planted_graph(m, t, seed):
+    """t disjoint triangles on 0 .. 3t-1, then m - 3t filler edges drawn
+    as cells (i, j) of a side x side grid, the smallest square with room
+    for them, by the generator's documented seeding, (seed, 7)."""
+    edges = []
+    for i in range(t):
+        a, b, c = 3 * i, 3 * i + 1, 3 * i + 2
+        edges += [(a, b), (a, c), (b, c)]
+    fill = m - 3 * t
+    if fill > 0:
+        side = 1
+        while side * side < fill:
+            side += 1
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 7)))
+        for x in rng.choice(side * side, size=fill, replace=False).tolist():
+            edges.append((3 * t + x // side, 3 * t + side + x % side))
+    return sorted(edges), len({x for e in edges for x in e})
+
+
+def disjointness_graph(x, y, T):
+    """Bit positions 0 .. len-1, then blocks B and C of sqrt(T) vertices:
+    i joins all of B when y[i] = 1 and all of C when x[i] = 1, and B x C
+    is complete."""
+    sq = math.isqrt(T)
+    B = range(len(x), len(x) + sq)
+    C = range(len(x) + sq, len(x) + 2 * sq)
+    edges = [(i, b) for i in range(len(y)) if y[i] for b in B]
+    edges += [(i, c) for i in range(len(x)) if x[i] for c in C]
+    edges += [(b, c) for b in B for c in C]
+    return sorted(edges), len(x) + 2 * sq

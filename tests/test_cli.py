@@ -1,12 +1,17 @@
 import csv
+import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from tricount import cli
 import oracles
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def run_cli(*args):
@@ -89,6 +94,25 @@ def test_gen_shuffle_is_a_permutation(tmp_path):
     assert sorted(open(a).readlines()) == sorted(open(b).readlines())
     assert open(a).read() != open(b).read()
     assert open(b).read() == open(c).read()
+
+
+def test_gen_files_match_recorded_digests(tmp_path, capsys):
+    # md5 of each written file and the summary line, recorded from the
+    # generators' per-edge implementation before they built arrays
+    base, out = str(tmp_path / "base.el"), str(tmp_path / "out.el")
+    with open(os.path.join(DATA, "gen_digests.json")) as f:
+        records = json.load(f)
+    assert len(records) == 26
+    for rec in records:
+        if rec["args"][0] == "blowup":
+            assert cli.main(["gen", "planted", "--m", "60", "--t", "5", "--seed", "2",
+                             "--out", base]) == 0
+        capsys.readouterr()
+        args = [base if a == "{base}" else a for a in rec["args"]]
+        assert cli.main(["gen", *args, "--out", out]) == rec["exit"], rec["args"]
+        assert capsys.readouterr().out == rec["stdout"].replace("{out}", out), rec["args"]
+        with open(out, "rb") as f:
+            assert hashlib.md5(f.read()).hexdigest() == rec["md5"], rec["args"]
 
 
 def test_gen_invalid_params(tmp_path):
@@ -253,6 +277,16 @@ def test_bench_gen_spec_and_determinism():
         return [r[:-1] for r in rows]
 
     assert mask(a.stdout) == mask(b.stdout)
+
+
+@pytest.mark.parametrize("spec, key, takes", [
+    ("planted:mm=3000,t=100", "mm", "m, t, seed"),
+    ("complete:n=30,q=1", "q", "n"),
+    ("disj:n=8,T=4,t=1", "t", "n, T, intersecting, seed")])
+def test_bench_gen_rejects_unknown_keys(spec, key, takes):
+    r = run_cli("bench", "alg1", "--gen", spec, "--p", "0.5", "--trials", "1")
+    assert r.returncode == 2 and r.stdout == ""
+    assert "takes no key %r (it takes %s)" % (key, takes) in r.stderr
 
 
 def test_bench_one_pass(planted_file):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from tricount import (AdjacencyGraph, count_triangles_exact, open_stream,
@@ -182,3 +183,47 @@ def test_generator_outputs_are_simple():
         for u, v in g.edges():
             assert u < v
         assert len(set(g.edges())) == g.edge_count
+
+
+def _chunks(stream):
+    return [(U.tolist(), V.tolist()) for U, V in stream.iter_chunks(7)]
+
+
+def check_generated(g, want):
+    """g against a reference (edges, vertex count): the same sorted
+    canonical edges, arrays and vertex count, and the same stream chunks
+    and counts as a stream over the reference edge list."""
+    edges, n = want
+    assert g.edges() == edges
+    assert g.vertex_count == n and g.edge_count == len(edges)
+    U, V = g.edge_arrays()
+    assert U.dtype == V.dtype == np.int64
+    assert list(zip(U.tolist(), V.tolist())) == edges
+    got, ref = open_stream(g), open_stream(edges)
+    assert (got.n, got.m, got.max_vertex_id) == (ref.n, ref.m, ref.max_vertex_id)
+    assert _chunks(got) == _chunks(ref)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 40])
+def test_complete_matches_reference(n):
+    check_generated(gen_complete(n), oracles.complete_graph(n))
+
+
+@pytest.mark.parametrize("parts", [(1, 1, 1), (1, 2, 1), (3, 1, 2), (2, 5, 4)])
+def test_tripartite_matches_reference(parts):
+    check_generated(gen_tripartite(*parts), oracles.tripartite_graph(*parts))
+
+
+@pytest.mark.parametrize("m, t", [(0, 0), (3, 1), (12, 4), (10, 0), (1, 0),
+                                  (50, 4), (101, 7), (2000, 200)])
+def test_planted_matches_reference(m, t):
+    for seed in (0, 3):
+        check_generated(gen_planted(m, t, seed), oracles.planted_graph(m, t, seed))
+
+
+@pytest.mark.parametrize("x, y, T", [
+    ([0, 0, 0], [0, 0, 0], 4), ([0], [0], 1), ([1], [1], 1),
+    ([1, 0, 1, 1], [0, 1, 1, 0], 9), ([1, 1, 0, 0], [1, 0, 1, 0], 4),
+    ([1] * 5, [1] * 5, 16)])
+def test_disjointness_matches_reference(x, y, T):
+    check_generated(gen_disjointness(x, y, T), oracles.disjointness_graph(x, y, T))

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tricount import (AdjacencyGraph, GraphError, DuplicateEdgeError,
+from tricount import (AdjacencyGraph, GraphError, DuplicateEdgeError, open_stream,
                       canonical_edge, count_triangles_exact, triangle_stats,
                       classify_edges, gen_complete, graph)
 from tricount.graph import _dense_triangle_count, _dense_eligible, _extent
@@ -78,9 +78,8 @@ def test_dense_and_sparse_paths_agree(monkeypatch):
     for seed in range(10):
         edges = random_graph(40, 0.35, 100 + seed)
         g = AdjacencyGraph(edges)
-        assert _dense_eligible(*_extent(g))
+        assert _dense_eligible(*_extent(g.edge_arrays()))
         want = oracles.brute_triangles(edges)
-        assert _dense_triangle_count(g) == want
         assert _dense_triangle_count(g.edge_arrays()) == want
         assert count_triangles_exact(g) == want
         with monkeypatch.context() as mp:
@@ -93,7 +92,7 @@ def test_dense_and_walk_stats_agree():
     # K_n, and a random graph just past the dense fill of 1/32
     for edges in (gen_complete(30).edges(), random_graph(300, 0.08, 7)):
         g = AdjacencyGraph(edges)
-        assert _dense_eligible(*_extent(g))
+        assert _dense_eligible(*_extent(g.edge_arrays()))
         for source in (g, g.edge_arrays()):
             dense = triangle_stats(source)
             with pytest.MonkeyPatch.context() as mp:
@@ -113,7 +112,7 @@ def test_dense_and_walk_classify_agree():
     edges = [(0, 1), (0, 2)] + [(s, v) for v in pages for s in (0, 1, 2)]
     edges += [(v, v + 1) for v in range(3, 13, 2)]
     g = AdjacencyGraph(edges)
-    assert _dense_eligible(*_extent(g))
+    assert _dense_eligible(*_extent(g.edge_arrays()))
     for source in (g, g.edge_arrays()):
         dense = classify_edges(source, 0.4)
         with pytest.MonkeyPatch.context() as mp:
@@ -253,5 +252,92 @@ def test_exact_counts_match_oracles_on_a_hub(hub):
     edges = [(hub, v) for v in leaves]
     edges += [(v, v + 1) for v in leaves[:-1]]
     edges += [(v, v + 2) for v in leaves[:-2:2]]
-    assert not _dense_eligible(*_extent(AdjacencyGraph(edges)))
+    assert not _dense_eligible(*_extent(AdjacencyGraph(edges).edge_arrays()))
     check_against_oracles(edges)
+
+
+@st.composite
+def edge_lists_with_faults(draw):
+    """Up to 20 edges on ids 0..9, with up to four faults inserted at
+    random places: a repeat of an earlier edge in either orientation, a
+    self-loop, or a negative id; plus up to three declared vertices, one
+    of them possibly negative."""
+    edges = draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=20))
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["repeat", "flipped", "loop", "negative"]))
+        if kind in ("repeat", "flipped") and edges:
+            u, v = draw(st.sampled_from(edges))
+            e = (u, v) if kind == "repeat" else (v, u)
+        elif kind == "loop":
+            x = draw(st.integers(-1, 9))
+            e = (x, x)
+        else:
+            e = draw(st.permutations([draw(st.integers(-3, -1)), draw(st.integers(-3, 9))]))
+        edges.insert(draw(st.integers(0, len(edges))), tuple(e))
+    vertices = draw(st.lists(st.integers(-1, 12), max_size=3))
+    return edges, vertices
+
+
+def built_or_raised(build):
+    try:
+        g = build()
+    except Exception as exc:
+        return type(exc), str(exc)
+    U, V = g.edge_arrays()
+    return g.edges(), (U.tolist(), V.tolist()), g.vertex_count, g.edge_count
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists_with_faults())
+def test_bulk_construction_raises_like_add_edge(case):
+    edges, vertices = case
+
+    def one_by_one():
+        g = AdjacencyGraph(vertices=vertices)
+        for u, v in edges:
+            g.add_edge(u, v)
+        return g
+
+    assert built_or_raised(lambda: AdjacencyGraph(edges, vertices)) == built_or_raised(one_by_one)
+
+
+def test_bulk_construction_names_the_first_fault():
+    for edges, err, msg in [
+            ([(0, 1), (2, 3), (3, 2), (1, 0)], DuplicateEdgeError, r"duplicate edge \(2, 3\)$"),
+            ([(0, 1), (4, 4), (1, 0)], GraphError, r"self-loop at vertex 4$"),
+            ([(0, 1), (1, 0), (4, 4)], DuplicateEdgeError, r"duplicate edge \(0, 1\)$"),
+            ([(2, -1), (3, 3)], GraphError, r"non-negative, got \(2, -1\)$"),
+            ([(-1, -1)], GraphError, r"non-negative, got \(-1, -1\)$")]:
+        with pytest.raises(err, match=msg):
+            AdjacencyGraph(edges)
+    with pytest.raises(GraphError, match=r"non-negative, got -2$"):
+        AdjacencyGraph([(0, 0)], vertices=[3, -2])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=30),
+       st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=15),
+       st.booleans())
+def test_add_edge_keeps_arrays_and_sets_in_step(base, extra, query_first):
+    base = list({canonical_edge(u, v) for u, v in base if u != v})
+    g = AdjacencyGraph(base)
+    before = open_stream(g)
+    if query_first:
+        g.degree(0)  # the sets exist before the first add_edge
+    edges = list(base)
+    for u, v in extra:
+        if u == v or canonical_edge(u, v) in edges:
+            continue
+        g.add_edge(u, v)
+        edges.append(canonical_edge(u, v))
+        U, V = g.edge_arrays()
+        assert list(zip(U.tolist(), V.tolist())) == g.edges() == sorted(edges)
+        assert g.edge_count == len(edges)
+        assert g.vertex_count == len({x for e in edges for x in e})
+        adj = oracles._adj_from_edges(edges)
+        assert all(g.neighbors(x) == adj[x] for x in adj)
+        assert count_triangles_exact(g) == oracles.brute_triangles(edges)
+    # the arrays are read-only and replaced, so an earlier stream keeps its edges
+    assert sorted(before.iter_edges()) == sorted(base)
+    with pytest.raises(ValueError):
+        g.edge_arrays()[0][:1] = 5
