@@ -18,8 +18,8 @@ import time
 
 from .edgelist import EdgeListParseError, read_edge_arrays, write_edge_list
 from .graph import (DuplicateEdgeError, GraphError, count_triangles_exact,
-                    triangle_stats, _dense_eligible, _extent)
-from .stream import Order, open_stream, order_rng, bench_seed, _vertex_range
+                    triangle_stats, _dense_eligible, _extent, _vertex_range)
+from .stream import Order, open_stream, order_rng, bench_seed
 from .estimators import (Algorithm, choose_p_alg1, choose_p_alg2,
                          choose_repetitions, alg1_two_pass,
                          alg1_one_pass_random, alg2_two_pass,

@@ -27,33 +27,34 @@ probability p):
   detected exactly when its first two edges in stream order were both
   kept, probability p^2, so each repetition reports r / p^2.
 
-Every pass of every algorithm draws its coins in one generator, `_coins`,
-one uniform per edge in stream order.  alg1 and every alg2 repetition run
-one two-pass core, `_two_pass_counts`, on one of two engines that give the
-same integers: a float32 adjacency matrix of the whole vertex range squared
-by the exact oracle's BLAS kernel, or a `_Sample` split into a heavy core
-and neighbour sets.  The engine follows from the input alone
-(`_dense_fits`: a small vertex range and a sample dense enough).  In a
-`_Sample` the vertices of high sample degree form the heavy core, whose
-edges go in a matrix squared by the same BLAS kernel; every other edge
-stays in neighbour sets.  A query edge's common sampled neighbours are
-then a set intersection, a matrix entry and, for a light end joined to a
-heavy one, a sum over the light end's heavy neighbours, each evaluated
-for a whole chunk of queries at once.  alg2's census (the sample's own
-triangles) is a third of that count summed over the kept edges; alg1
-skips it.  alg1-rand and every alg2-rand repetition run one single-pass
-loop, `_one_pass_count`, on one kernel, `_count_and_add`: it walks edges
-in order, counts a dropped edge's common sampled neighbours and adds a
-kept edge to the sample (it also builds a `_Sample`'s sets).  Before the
-walk, a look-ahead pass draws the coins and gathers the kept edges, whose
-heavy core follows the `_Sample` rule.  The walk holds each vertex's
-neighbours in that core as the bits of one int and its other neighbours
-in a set, so the core's part of a count is one AND and a bit count; with
-no core it is the plain set walk.  Every random-order stream holds its
-endpoint arrays, so the look-ahead is one extra physical read of them,
-and the report's `passes` stays 1.  Each pass counts the edges it keeps;
-a report's max_stored_edges is their sum over the repetitions, since a
-run holds all its samples at once.
+Every coin of every algorithm is drawn in one generator, `_coins`, one
+uniform per edge in stream order, and a run or repetition draws each coin
+once: a later pass that needs the keep masks replays them (`_replay`).
+alg1 and every alg2 repetition run one two-pass core, `_two_pass_counts`,
+on one of two engines that give the same integers: a float32 adjacency
+matrix A of the whole vertex range squared by the exact oracle's BLAS
+kernel, whose pass 2 draws no coins (it sums A^2 over every stream edge
+less the kept edges' share), or a `_Sample` split into a heavy core and
+neighbour sets.  The engine follows from the input alone (`_dense_fits`:
+a small vertex range and a sample dense enough).  In a `_Sample` the
+vertices of high sample degree form the heavy core, whose edges go in a
+matrix squared by the same kernel; every other edge stays in neighbour
+sets.  A query edge's common sampled neighbours are then a set
+intersection, a matrix entry and, for a light end joined to a heavy one,
+a sum over the light end's heavy neighbours, each evaluated for a whole
+chunk of queries at once.  alg2's census (the sample's own triangles) is
+a third of that count summed over the kept edges; alg1 skips it.
+alg1-rand and every alg2-rand repetition run one single-pass loop,
+`_one_pass_count`, on one kernel, `_count_and_add`: it walks edges in
+order, counts a dropped edge's common sampled neighbours and adds a kept
+edge to the sample (it also builds a `_Sample`'s sets).  A look-ahead
+pass first draws the coins and gathers the kept edges, whose heavy core
+(the `_Sample` rule) the walk holds as the bits of one int per vertex, so
+the core's part of a count is one AND and a bit count.  The look-ahead is
+one extra physical read of the stream's endpoint arrays, and `passes`
+stays 1.  Each pass counts the edges it keeps; a report's
+max_stored_edges is their sum over the repetitions, since a run holds all
+its samples at once.
 
 Repetition i draws its coins from trial_rng(master_seed, i) alone, so an
 l-repetition run reports exactly the l independent repetitions.
@@ -61,14 +62,13 @@ l-repetition run reports exactly the l independent repetitions.
 
 import json
 import math
-from functools import partial
-from itertools import repeat
+from itertools import repeat, zip_longest
 from operator import and_
 
 import numpy as np
 
 from .graph import _dense_kernel, _DENSE_MAX_N
-from .stream import Order, sampler_rng, trial_rng
+from .stream import Order, SourceChangedError, sampler_rng, trial_rng
 
 # a sample vertex with this many sample edges joins the heavy core, which
 # holds at most _HEAVY_MAX_N of them
@@ -400,10 +400,20 @@ def alg2_one_pass_count(edges_in_order, keep):
 def _coins(stream, p, rng):
     """One pass over the stream: yields (U, V, keep) per chunk, where keep
     marks the edges kept with probability p, one uniform from `rng` per
-    edge in stream order.  A fresh generator seeded the same way redraws
-    the same coins."""
+    edge in stream order; a later pass replays the masks (`_replay`)."""
     for U, V in stream.iter_chunks():
         yield U, V, rng.random(U.size) < p
+
+
+def _replay(stream, keeps):
+    """A fresh pass over the stream, each chunk (U, V) with the keep mask
+    an earlier pass drew for it: yields (U, V, keep).  A pass with another
+    number of chunks, or a chunk of another size, raises SourceChangedError."""
+    for j, (chunk, keep) in enumerate(zip_longest(stream.iter_chunks(), keeps)):
+        if chunk is None or keep is None or chunk[0].size != keep.size:
+            raise SourceChangedError("chunk %d of a pass over the stream differs from "
+                                     "the pass that drew its coins" % j)
+        yield chunk[0], chunk[1], keep
 
 
 def _dense_fits(stream, p):
@@ -417,52 +427,47 @@ def _dense_fits(stream, p):
             and p * stream.m >= (nmax + 1) ** 2 / 128.0)
 
 
-def _kept_edges(stream, p, rng, keeps=None):
+def _kept_edges(stream, p, rng):
     """One pass of `_coins`: the endpoints (KU, KV) of the kept edges, in
-    stream order.  Each chunk's keep mask is appended to the list `keeps`,
-    when one is given."""
+    stream order, and the list of each chunk's keep mask."""
     kus, kvs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    keeps = []
     for U, V, keep in _coins(stream, p, rng):
-        if keeps is not None:
-            keeps.append(keep)
+        keeps.append(keep)
         kus.append(U[keep])
         kvs.append(V[keep])
-    return np.concatenate(kus), np.concatenate(kvs)
+    return np.concatenate(kus), np.concatenate(kvs), keeps
 
 
-def _two_pass_counts(stream, p, make_rng, census):
-    """Pass 1 keeps each edge with probability p on the coins of a fresh
-    make_rng(); pass 2 redraws the same coins and sums, over the edges not
-    kept, the triangles each closes against the sample.  Returns (count,
-    kept): that sum, plus the sample's own triangle count when `census`,
-    and the number of kept edges.  When `_dense_fits`, each closure count
-    is read off A @ A for the sample's float32 adjacency matrix A,
-    otherwise off a `_Sample` of the kept edges; the sums are exact either
-    way, so both engines return the same integers.
-    """
-    kept = 0
+def _two_pass_counts(stream, p, rng, census):
+    """Pass 1 keeps each edge with probability p on coins from `rng`, one
+    per edge; pass 2 sums, over the edges not kept, the triangles each
+    closes against the sample.  Returns (count, kept): that sum, plus the
+    sample's own triangle count when `census`, and the number of kept
+    edges.  Both engines return the same integers.
+
+    When `_dense_fits`, C = A @ A for the sample's adjacency matrix A, and
+    pass 2 sums C[u, v] over every stream edge, less the kept edges'
+    share: 3 t_S for the sample's t_S triangles, each closed by its three
+    kept edges.  That relies on the stream's contract of distinct edges.
+    Otherwise pass 2 replays pass 1's masks against a `_Sample`."""
     if _dense_fits(stream, p):
-        nmax = stream.max_vertex_id + 1
-        A = np.zeros((nmax, nmax), dtype=np.float32)
-        for U, V, keep in _coins(stream, p, make_rng()):
-            ku, kv = U[keep], V[keep]
-            A[ku, kv] = 1.0
-            A[kv, ku] = 1.0
-            kept += ku.size
-        common, t_in = _dense_kernel(A, census)
-
-        def closes(U, V):
-            return int(common[U, V].sum(dtype=np.float64))
-    else:
-        KU, KV = _kept_edges(stream, p, make_rng())
-        sample, kept = _Sample(KU, KV, census), KU.size
-        del KU, KV
-        t_in, closes = sample.triangles, sample.count
-    s = 0
-    for U, V, keep in _coins(stream, p, make_rng()):
-        drop = ~keep
-        s += closes(U[drop], V[drop])
-    return t_in + s, kept
+        n = stream.max_vertex_id + 1
+        A, kept = np.zeros((n, n), dtype=np.float32), 0
+        for U, V, keep in _coins(stream, p, rng):
+            i = np.flatnonzero(keep)  # one index pass serves both ends
+            ku, kv = U.take(i), V.take(i)
+            A[ku, kv] = A[kv, ku] = 1.0
+            kept += i.size
+        common, t_in = _dense_kernel(A, True)
+        closed = sum(int(common.take(U * n + V).sum(dtype=np.float64))
+                     for U, V in stream.iter_chunks())
+        return closed - 3 * t_in + (t_in if census else 0), kept
+    KU, KV, keeps = _kept_edges(stream, p, rng)
+    sample, kept = _Sample(KU, KV, census), KU.size
+    del KU, KV
+    s = sum(sample.count(U[~keep], V[~keep]) for U, V, keep in _replay(stream, keeps))
+    return sample.triangles + s, kept
 
 
 def _one_pass_count(stream, p, rng, census):
@@ -473,13 +478,12 @@ def _one_pass_count(stream, p, rng, census):
 
     A look-ahead pass draws the coins first and gathers the kept edges,
     whose `_heavy_core` the counting pass then holds as bit masks; the
-    counting pass replays the same coins, chunk by chunk."""
-    keeps = []
-    KU, KV = _kept_edges(stream, p, rng, keeps)
+    counting pass replays its keep masks, chunk by chunk (`_replay`)."""
+    KU, KV, keeps = _kept_edges(stream, p, rng)
     core, kept = _heavy_core(KU, KV).tolist(), KU.size
     del KU, KV
     chunks = ((U.tolist(), V.tolist(), keep.tolist())
-              for (U, V), keep in zip(stream.iter_chunks(), keeps))
+              for U, V, keep in _replay(stream, keeps))
     return sum(_count_and_add({}, chunks, census, core)), kept
 
 
@@ -495,7 +499,7 @@ def _require_random_order(stream, algorithm):
 def alg1_two_pass(stream, p, seed, epsilon=None, T=None):
     """Unbiased two-pass estimate of the triangle count of the stream."""
     p = check_probability(p, allow_one=False)
-    s, kept = _two_pass_counts(stream, p, lambda: sampler_rng(seed), census=False)
+    s, kept = _two_pass_counts(stream, p, sampler_rng(seed), census=False)
     estimate = s / (3.0 * p * p * (1.0 - p))
     params = EstimatorParams(p, epsilon, T, None, seed)
     return EstimateReport(Algorithm.ALG1_TWO_PASS, estimate, params, kept, 2,
@@ -520,6 +524,13 @@ def _check_repetitions(l):
     return l
 
 
+def _repetitions(count, stream, p, l, master_seed, denom):
+    """alg2's l repetitions of `count`, each on the coins of its own
+    trial_rng: the scaled counts, and the sum of the edges they keep."""
+    runs = [count(stream, p, trial_rng(master_seed, i), census=True) for i in range(l)]
+    return [r / denom for r, _ in runs], sum(kept for _, kept in runs)
+
+
 def alg2_two_pass(stream, p, l, master_seed, epsilon=None, T=None):
     """Min over l independent two-pass repetitions.
 
@@ -530,14 +541,8 @@ def alg2_two_pass(stream, p, l, master_seed, epsilon=None, T=None):
     """
     p = check_probability(p)
     l = _check_repetitions(l)
-    denom = 3.0 * p * p * (1.0 - p) + p ** 3
-    vals = []
-    stored = 0
-    for i in range(l):
-        r, kept = _two_pass_counts(stream, p, partial(trial_rng, master_seed, i),
-                                   census=True)
-        vals.append(r / denom)
-        stored += kept
+    vals, stored = _repetitions(_two_pass_counts, stream, p, l, master_seed,
+                                3.0 * p * p * (1.0 - p) + p ** 3)
     params = EstimatorParams(p, epsilon, T, l, master_seed)
     return EstimateReport(Algorithm.ALG2_TWO_PASS, min(vals), params, stored, 2,
                           vals, degenerate=(p == 1.0))
@@ -549,13 +554,7 @@ def alg2_one_pass_random(stream, p, l, master_seed, epsilon=None, T=None):
     p = check_probability(p)
     _require_random_order(stream, Algorithm.ALG2_ONE_PASS_RANDOM)
     l = _check_repetitions(l)
-    denom = p * p
-    vals = []
-    stored = 0
-    for i in range(l):
-        r, kept = _one_pass_count(stream, p, trial_rng(master_seed, i), census=True)
-        vals.append(r / denom)
-        stored += kept
+    vals, stored = _repetitions(_one_pass_count, stream, p, l, master_seed, p * p)
     params = EstimatorParams(p, epsilon, T, l, master_seed)
     return EstimateReport(Algorithm.ALG2_ONE_PASS_RANDOM, min(vals), params,
                           stored, 1, vals, degenerate=(p == 1.0))

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .edgelist import _INT64_MAX
-from .graph import AdjacencyGraph, count_triangles_exact
+from .graph import AdjacencyGraph, count_triangles_exact, _vertex_range
 from .stream import (EdgeStream, Order, open_stream, _ExpanderSource, _rechunk,
                      check_seed)
 
@@ -51,7 +51,7 @@ def gen_planted(m, t_target, seed=0):
         i, j = np.divmod(np.sort(rng.choice(side * side, size=fill, replace=False)), side)
         U.append(base + i)
         V.append(base + side + j)
-        n += np.unique(i).size + np.unique(j).size
+        n += _vertex_range(i)[0] + _vertex_range(j)[0]
     g = AdjacencyGraph._of_arrays(np.concatenate(U), np.concatenate(V), n)
     got = count_triangles_exact(g)
     if got != t_target:

@@ -59,6 +59,31 @@ def _first_repeat(U, V, order=None):
     return int(order[1:][same].min())
 
 
+def _check_edges(U, V):
+    """The canonical ends (lo, hi) of the int64 edges (U[i], V[i]) and
+    np.lexsort((hi, lo)).  Raises what `canonical_edge` or a repeat would,
+    at the first offending edge in input order."""
+    lo, hi = np.minimum(U, V), np.maximum(U, V)
+    order = np.lexsort((hi, lo))
+    i = _first_repeat(lo, hi, order)
+    bad = (lo < 0) | (lo == hi)
+    if bad.any() and (i is None or bad.argmax() < i):
+        canonical_edge(U[bad.argmax()], V[bad.argmax()])  # raises its GraphError
+    if i is not None:
+        raise DuplicateEdgeError("duplicate edge (%d, %d)" % (lo[i], hi[i]))
+    return lo, hi, order
+
+
+def _vertex_range(*ids):
+    """(count, largest) of the distinct ids in the int64 arrays `ids`, or
+    (0, None); one sort and a neighbour compare beat np.unique's hashing."""
+    ids = np.concatenate(ids)
+    if not ids.size:
+        return 0, None
+    ids.sort()
+    return int(np.count_nonzero(ids[1:] != ids[:-1])) + 1, int(ids[-1])
+
+
 class AdjacencyGraph:
     """Simple undirected graph held as its canonical edge arrays: int64
     (U, V) with U[i] < V[i], sorted, read-only, which the exact counts
@@ -82,17 +107,9 @@ class AdjacencyGraph:
         for u, v in edges:
             us.append(u)
             vs.append(v)
-        U, V = np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
-        bad = (U < 0) | (V < 0) | (U == V)
-        lo, hi = np.minimum(U, V), np.maximum(U, V)
-        order = np.lexsort((hi, lo))
-        i = _first_repeat(lo, hi, order)
-        if bad.any() and (i is None or bad.argmax() < i):
-            canonical_edge(us[bad.argmax()], vs[bad.argmax()])  # raises its GraphError
-        if i is not None:
-            raise DuplicateEdgeError("duplicate edge (%d, %d)" % (lo[i], hi[i]))
-        n = np.unique(np.concatenate((lo, hi, ids))).size
-        self._hold(lo[order], hi[order], n, ids)
+        lo, hi, order = _check_edges(np.array(us, dtype=np.int64),
+                                     np.array(vs, dtype=np.int64))
+        self._hold(lo[order], hi[order], _vertex_range(lo, hi, ids)[0], ids)
 
     @classmethod
     def _of_arrays(cls, U, V, n, vertices=()):

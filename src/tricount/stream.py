@@ -26,12 +26,14 @@ import os
 
 import numpy as np
 
-from .graph import AdjacencyGraph, GraphError, DuplicateEdgeError, _first_repeat
+from .graph import AdjacencyGraph, _check_edges, _vertex_range
 from .edgelist import read_edge_arrays
 
 
 class SourceChangedError(OSError):
-    """The edge list file behind a stream changed after it was opened."""
+    """The edges behind a stream changed after it was opened: its file's
+    size or modification time moved, or a later pass chunked them
+    otherwise than the pass whose coins it replays."""
 
 
 class Order:
@@ -83,13 +85,6 @@ def bench_seed(master_seed, point_index, trial_index):
 _CHUNK_SIZE = 65536
 
 
-def _vertex_range(U, V):
-    """(vertex count, largest id) of the edges (U[i], V[i]); (0, None) when
-    there are none."""
-    verts = np.unique(np.concatenate((U, V)))
-    return int(verts.size), (int(verts[-1]) if verts.size else None)
-
-
 class _MemorySource:
     """Edges held as two int64 arrays; `distinct` when they are known to
     be canonical and distinct, so the scan only counts vertices."""
@@ -111,19 +106,9 @@ class _MemorySource:
         return self.U[idx], self.V[idx]
 
     def scan(self):
-        U, V = self.U, self.V
-        if self.distinct:
-            return _vertex_range(U, V)
-        if (U == V).any():
-            bad = int(U[(U == V).argmax()])
-            raise GraphError("self-loop at vertex %d" % bad)
-        if U.size and min(U.min(), V.min()) < 0:
-            raise GraphError("vertex ids must be non-negative")
-        lo, hi = np.minimum(U, V), np.maximum(U, V)
-        i = _first_repeat(lo, hi)
-        if i is not None:
-            raise DuplicateEdgeError("duplicate edge (%d, %d)" % (lo[i], hi[i]))
-        return _vertex_range(U, V)
+        if not self.distinct:
+            _check_edges(self.U, self.V)
+        return _vertex_range(self.U, self.V)
 
 
 class _FileSource(_MemorySource):
@@ -278,8 +263,8 @@ def open_stream(source, order=Order.AS_GIVEN, seed=0, validate=True):
     """Build an EdgeStream from a file path, an AdjacencyGraph, a pair of
     endpoint arrays, or any iterable of (u, v) pairs.
 
-    Validation scans the whole input once: malformed lines and duplicate
-    edges are errors.  The scan also records the vertex count and the
+    Validation scans the whole input once: malformed lines, negative ids,
+    self-loops and duplicate edges are errors, the first in input order.  The scan also records the vertex count and the
     largest id, which the estimators use for parameter selection.  A file
     is always scanned, and its stream keeps the parsed endpoint arrays for
     its passes; `validate=False` skips the scan of in-memory sources only.
@@ -287,7 +272,7 @@ def open_stream(source, order=Order.AS_GIVEN, seed=0, validate=True):
     ValueError either way.  A validated stream copies a pair of endpoint
     arrays, so later writes to them do not reach its passes; with
     `validate=False` an int64 pair is used as it is, and the caller must
-    leave it unchanged while the stream is in use.
+    leave it unchanged while the stream is in use and repeat no edge.
     """
     if isinstance(source, (str, os.PathLike)):
         src = _FileSource(source)
@@ -297,7 +282,5 @@ def open_stream(source, order=Order.AS_GIVEN, seed=0, validate=True):
         if validate:
             n, max_id = src.scan()
         else:
-            n, max_id = None, None
-            if src.m:
-                max_id = int(max(src.U.max(), src.V.max()))
+            n, max_id = None, int(max(src.U.max(), src.V.max())) if src.m else None
     return EdgeStream(src, order=order, seed=seed, n=n, max_vertex_id=max_id)

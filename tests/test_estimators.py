@@ -11,7 +11,8 @@ from tricount import (open_stream, Order, gen_complete,
                       triangle_stats,
                       choose_p_alg1, choose_p_alg2, choose_repetitions,
                       alg1_two_pass, alg1_one_pass_random, alg2_two_pass,
-                      alg2_one_pass_random, AdjacencyGraph, write_edge_list)
+                      alg2_one_pass_random, AdjacencyGraph, write_edge_list,
+                      SourceChangedError)
 from tricount import estimators
 from tricount import stream as stream_module
 from tricount.estimators import (alg1_pass2_count, alg2_detected_count,
@@ -490,6 +491,82 @@ def test_one_pass_reports_do_not_depend_on_chunks(monkeypatch, chunk):
             force_heavy(mp, core)
             assert [alg1_one_pass_random(shuffled, 0.6, 5).to_json(),
                     alg2_one_pass_random(shuffled, 0.6, 3, 5).to_json()] == want
+
+
+# ---------------------------------------------------------------------------
+# every run or repetition draws each coin once
+
+@pytest.mark.parametrize("engine", ["dense", "sets"])
+@pytest.mark.parametrize("census", [False, True])
+def test_two_pass_draws_one_coin_per_edge(monkeypatch, engine, census):
+    force_engine(monkeypatch, engine)
+    g = gen_complete(70)
+    stream = open_stream(g)
+    rng = sampler_rng(9)
+    estimators._two_pass_counts(stream, 0.4, rng, census)
+    fresh = sampler_rng(9)
+    fresh.random(g.edge_count)
+    assert rng.random(4).tolist() == fresh.random(4).tolist()
+
+
+@pytest.mark.parametrize("p", [0.05, 0.79, 1.0])
+def test_engines_agree_on_a_multi_chunk_stream(monkeypatch, p):
+    # K_400's 79 800 edges make two chunks of a pass
+    stream = open_stream(gen_complete(400))
+    assert len(list(stream.iter_chunks())) == 2
+    got = {}
+    for engine in ("dense", "sets"):
+        force_engine(monkeypatch, engine)
+        reps = [alg2_two_pass(stream, p, 2, 6).to_json()]
+        counts = [estimators._two_pass_counts(stream, p, sampler_rng(6), False)]
+        if p < 1:
+            reps.append(alg1_two_pass(stream, p, 6).to_json())
+        got[engine] = reps, counts
+    assert got["dense"] == got["sets"]
+    if p == 1:
+        # every edge kept: nothing left to close a triangle in pass 2
+        assert got["dense"][1] == [(0, stream.m)]
+        assert json.loads(got["dense"][0][0])["estimate"] == 400 * 399 * 398 // 6
+
+
+def test_dense_repetition_that_keeps_nothing(monkeypatch):
+    force_engine(monkeypatch, "dense")
+    stream = open_stream(gen_complete(30))
+    for census in (False, True):
+        assert estimators._two_pass_counts(stream, 1e-12, sampler_rng(1), census) == (0, 0)
+
+
+POOL = [(u, v) for u in range(6) for v in range(u + 1, 14)][:40]
+
+
+def rechunked_stream(first, later):
+    """A stream whose first pass yields chunks of the sizes in `first` and
+    every later pass chunks of the sizes in `later`, cut in order from the
+    40 edges of POOL."""
+    U, V = np.array(POOL, dtype=np.int64).T
+    passes = []
+
+    def chunks(chunk_size):
+        sizes = later if passes else first
+        passes.append(sizes)
+        ends = np.cumsum(sizes)
+        return ((U[e - k:e], V[e - k:e]) for k, e in zip(sizes, ends))
+
+    src = stream_module._ExpanderSource(sum(first), chunks, None, int(V.max()))
+    return stream_module.EdgeStream(src)
+
+
+@pytest.mark.parametrize("later", [[5] * 6, [8, 8, 8], [8, 8, 8, 6, 4]])
+def test_replays_need_the_chunks_the_coins_were_drawn_on(monkeypatch, later):
+    # a later pass with chunks of other sizes, fewer chunks or more chunks
+    # than the pass that drew the coins: zip would quietly cut it short
+    first = [8, 8, 8, 6]
+    force_engine(monkeypatch, "sets")
+    for count in (estimators._two_pass_counts, estimators._one_pass_count):
+        with pytest.raises(SourceChangedError, match="chunk [0-9]+ of a pass"):
+            count(rechunked_stream(first, later), 0.5, sampler_rng(2), True)
+        want = count(open_stream(POOL[:30]), 0.5, sampler_rng(2), True)
+        assert count(rechunked_stream(first, first), 0.5, sampler_rng(2), True) == want
 
 
 # ---------------------------------------------------------------------------

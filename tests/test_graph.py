@@ -301,6 +301,23 @@ def test_bulk_construction_raises_like_add_edge(case):
     assert built_or_raised(lambda: AdjacencyGraph(edges, vertices)) == built_or_raised(one_by_one)
 
 
+@settings(max_examples=200, deadline=None)
+@given(edge_lists_with_faults())
+def test_streams_validate_like_the_graph(case):
+    # one check serves both: the same error at the same edge, or the same
+    # vertex count
+    edges = case[0]
+
+    def outcome(build):
+        try:
+            got = build(edges)
+        except GraphError as exc:
+            return type(exc), str(exc)
+        return got.n if build is open_stream else got.vertex_count
+
+    assert outcome(open_stream) == outcome(AdjacencyGraph)
+
+
 def test_bulk_construction_names_the_first_fault():
     for edges, err, msg in [
             ([(0, 1), (2, 3), (3, 2), (1, 0)], DuplicateEdgeError, r"duplicate edge \(2, 3\)$"),

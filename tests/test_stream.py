@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from tricount import (open_stream, Order,
                       order_rng, sampler_rng, trial_rng, SourceChangedError,
-                      EdgeListParseError, DuplicateEdgeError, gen_complete,
-                      blow_up)
+                      EdgeListParseError, DuplicateEdgeError, GraphError,
+                      AdjacencyGraph, gen_complete, blow_up)
 from tricount import cli
 from tricount.estimators import _coins
 from tricount.stream import check_seed
@@ -113,6 +113,22 @@ def test_open_stream_validation(tmp_path):
         open_stream(edges)
     with pytest.raises(EdgeListParseError, match=r"line 3: duplicate edge \(2, 3\)$"):
         open_stream(write_el(tmp_path, edges, "dup.el"))
+
+
+@pytest.mark.parametrize("edges, msg", [
+    ([(-1, 2), (3, 3)], r"vertex ids must be non-negative, got \(-1, 2\)$"),
+    ([(0, 1), (-1, 2)], r"vertex ids must be non-negative, got \(-1, 2\)$"),
+    ([(0, 1), (4, 4), (2, -3)], r"self-loop at vertex 4$"),
+    ([(0, 1), (1, 0), (4, 4)], r"duplicate edge \(0, 1\)$"),
+])
+def test_memory_sources_name_the_first_fault_in_input_order(edges, msg):
+    # the rule and the messages of AdjacencyGraph, for pairs and arrays
+    U, V = np.array(edges).T
+    for source in (edges, (U, V)):
+        with pytest.raises(GraphError, match=msg):
+            open_stream(source)
+    with pytest.raises(GraphError, match=msg):
+        AdjacencyGraph(edges)
 
 
 EDGES10 = [(i, i + 1) for i in range(10)]
