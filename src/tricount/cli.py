@@ -140,13 +140,10 @@ def _cmd_exact(args):
 # ---------------------------------------------------------------------------
 # estimate
 
-def _default_order(algorithm):
-    return Order.RANDOM_PERMUTATION if algorithm in Algorithm.ONE_PASS else Order.AS_GIVEN
-
-
 def _resolve_order(args):
     if args.order is None:
-        return _default_order(args.algorithm)
+        return (Order.RANDOM_PERMUTATION if args.algorithm in Algorithm.ONE_PASS
+                else Order.AS_GIVEN)
     if args.algorithm in Algorithm.ONE_PASS and args.order == Order.AS_GIVEN:
         raise ParamError("%s needs --order random (its guarantee only holds on "
                          "randomly ordered streams)" % args.algorithm)

@@ -30,31 +30,29 @@ probability p):
 Every coin of every algorithm is drawn in one generator, `_coins`, one
 uniform per edge in stream order, and a run or repetition draws each coin
 once: a later pass that needs the keep masks replays them (`_replay`).
+Every pass reads the stream's vertex slots, 0..n-1 in id order
+(`EdgeStream._slot_map`), so samples are lists and arrays indexed by slot.
 alg1 and every alg2 repetition run one two-pass core, `_two_pass_counts`,
-on one of two engines that give the same integers: a float32 adjacency
-matrix A of the whole vertex range squared by the exact oracle's BLAS
-kernel, whose pass 2 draws no coins (it sums A^2 over every stream edge
-less the kept edges' share), or a `_Sample` split into a heavy core and
-neighbour sets.  The engine follows from the input alone (`_dense_fits`:
-a small vertex range and a sample dense enough).  In a `_Sample` the
-vertices of high sample degree form the heavy core, whose edges go in a
-matrix squared by the same kernel; every other edge stays in neighbour
-sets.  A query edge's common sampled neighbours are then a set
-intersection, a matrix entry and, for a light end joined to a heavy one,
-a sum over the light end's heavy neighbours, each evaluated for a whole
-chunk of queries at once.  alg2's census (the sample's own triangles) is
-a third of that count summed over the kept edges; alg1 skips it.
-alg1-rand and every alg2-rand repetition run one single-pass loop,
-`_one_pass_count`, on one kernel, `_count_and_add`: it walks edges in
-order, counts a dropped edge's common sampled neighbours and adds a kept
-edge to the sample (it also builds a `_Sample`'s sets).  A look-ahead
-pass first draws the coins and gathers the kept edges, whose heavy core
-(the `_Sample` rule) the walk holds as the bits of one int per vertex, so
-the core's part of a count is one AND and a bit count.  The look-ahead is
-one extra physical read of the stream's endpoint arrays, and `passes`
-stays 1.  Each pass counts the edges it keeps; a report's
-max_stored_edges is their sum over the repetitions, since a run holds all
-its samples at once.
+on one of two engines that give the same integers, picked from the input
+alone (`_dense_fits`): a float32 adjacency matrix A of all slots squared by
+the exact oracle's BLAS kernel, whose pass 2 draws no coins (it sums A^2
+over every stream edge less the kept edges' share), or a `_Sample`.  That
+holds the edges among its vertices of high sample degree, the heavy core,
+in a matrix squared by the same kernel and every other edge in neighbour
+sets, so a query edge's common sampled neighbours are a set intersection,
+a matrix entry and, for a light end joined to a heavy one, a sum over the
+light end's heavy neighbours, each evaluated for a chunk of queries at
+once.  alg2's census (the sample's own triangles) is a third of that count
+summed over the kept edges; alg1 skips it.  alg1-rand and every alg2-rand
+repetition run one single-pass loop, `_one_pass_count`, on one kernel,
+`_count_and_add`: it walks edges in order, counts a dropped edge's common
+sampled neighbours and adds a kept edge to the sample (it also builds a
+`_Sample`'s sets).  A look-ahead pass first draws the coins and gathers
+the kept edges, whose heavy core the walk holds as the bits of one int per
+slot, so the core's part of a count is one AND and a bit count; the
+look-ahead is one more physical pass, and `passes` stays 1.  Each pass
+counts the edges it keeps; a report's max_stored_edges is their sum over
+the repetitions, since a run holds all its samples at once.
 
 Repetition i draws its coins from trial_rng(master_seed, i) alone, so an
 l-repetition run reports exactly the l independent repetitions.
@@ -201,45 +199,45 @@ def choose_repetitions(epsilon):
 # the counting kernels, also driven exhaustively by the test oracles
 
 def _count_and_add(adj, chunks, census, core=()):
-    """Walk the edges of `chunks`, triples (us, vs, keeps) of lists, in
-    order against the sample `adj`, a dict of neighbour sets.  A dropped
-    edge (us[i], vs[i]) adds its endpoints' common sampled neighbours to s;
-    a kept edge joins the sample, after adding that same count to t when
-    `census` is true.  Returns (s, t).
+    """Walk the edges of `chunks`, triples (us, vs, keeps) of lists of
+    slots, in order against the sample `adj`, a list holding each slot's
+    set of sampled neighbours, or None.  A dropped edge (us[i], vs[i]) adds
+    its endpoints' common sampled neighbours to s; a kept edge joins the
+    sample, after adding that same count to t when `census` is true.
+    Returns (s, t).
 
-    The vertices of `core`, at most _HEAVY_MAX_N ids, are bits: a sample
-    vertex holds its neighbours in the core as the bits of one int, and
-    adj holds only its other neighbours, so the core's part of a count is
-    one AND and a bit count.  With no core the masks stay empty.
+    The slots of `core`, at most _HEAVY_MAX_N, are bits: a sample vertex
+    holds its neighbours in the core as the bits of one int, and adj holds
+    only its other neighbours, so the core's part of a count is one AND
+    and a bit count.
 
     Each triangle of the sample is counted in t once, when its last edge
     arrives, so t summed over the kept edges is the sample's triangle
     count."""
     s = t = 0
-    get = adj.get
-    bits = {h: 1 << i for i, h in enumerate(core)}
-    heavy = bool(bits)
-    masks = {}
-    mask = masks.get
+    heavy = len(core) > 0
+    bits, masks = [0] * len(adj), [0] * len(adj)
+    for i, h in enumerate(core):
+        bits[h] = 1 << i
     for us, vs, keeps in chunks:
         for u, v, k in zip(us, vs, keeps):
-            nu = get(u)
+            nu = adj[u]
             if k:
-                nv = get(v)
+                nv = adj[v]
                 if census:
                     if nu and nv:
                         t += len(nu & nv)
                     if heavy:
-                        t += (mask(u, 0) & mask(v, 0)).bit_count()
-                if heavy and (u in bits or v in bits):
+                        t += (masks[u] & masks[v]).bit_count()
+                if heavy:
                     # an end joined to a core vertex sets its bit, and True
                     # marks that end as needing no set entry
-                    bu, bv = bits.get(u), bits.get(v)
+                    bu, bv = bits[u], bits[v]
                     if bv:
-                        masks[u] = mask(u, 0) | bv
+                        masks[u] |= bv
                         nu = True
                     if bu:
-                        masks[v] = mask(v, 0) | bu
+                        masks[v] |= bu
                         nv = True
                 if nu is None:
                     adj[u] = {v}
@@ -251,100 +249,82 @@ def _count_and_add(adj, chunks, census, core=()):
                     nv.add(u)
             else:
                 if nu:
-                    nv = get(v)
+                    nv = adj[v]
                     if nv:
                         s += len(nu & nv)
                 if heavy:
-                    s += (mask(u, 0) & mask(v, 0)).bit_count()
+                    s += (masks[u] & masks[v]).bit_count()
     return s, t
 
 
-def _locate(ids, X):
-    """Positions of the ids X in the sorted nonempty array `ids`, and the
-    mask of those present."""
-    j = ids.searchsorted(X)
-    return j, ids.take(j, mode="clip") == X
-
-
 def _heavy_core(KU, KV):
-    """The sorted ids of the sample vertices with at least _HEAVY_MIN_DEGREE
-    of the sample edges (KU[i], KV[i]), at most _HEAVY_MAX_N of them,
-    highest degrees first.  KU and KV are int64 arrays or lists."""
+    """The sorted slots of the sample vertices with at least _HEAVY_MIN_DEGREE
+    of the sample edges (KU[i], KV[i]), at most _HEAVY_MAX_N of them, highest
+    degrees first and ties to the lower slot; KU and KV are arrays or lists."""
     if len(KU) < _HEAVY_MIN_DEGREE:
         return np.empty(0, dtype=np.int64)
-    ends = np.concatenate((KU, KV))
-    ends.sort()
-    # an id of that degree fills _HEAVY_MIN_DEGREE sorted places in a row
-    run = _HEAVY_MIN_DEGREE - 1
-    if not (ends[run:] == ends[:ends.size - run]).any():
-        return np.empty(0, dtype=np.int64)
-    first = np.flatnonzero(np.concatenate(([True], ends[1:] != ends[:-1])))
-    ids, deg = ends[first], np.diff(first, append=ends.size)
+    deg = np.bincount(np.concatenate((KU, KV)))
     heavy = deg >= _HEAVY_MIN_DEGREE
     if np.count_nonzero(heavy) > _HEAVY_MAX_N:
         heavy[np.argsort(-deg, kind="stable")[_HEAVY_MAX_N:]] = False
-    return ids[heavy]
+    return np.flatnonzero(heavy)
 
 
 class _Sample:
-    """A fixed edge sample, split for counting after Alon, Yuster and Zwick
-    (1997).  The heavy vertices (`_heavy_core`) index a float32 matrix A of
-    the sample edges between two of them, and C = A @ A counts their common
-    heavy neighbours.  Every other sample edge stays in neighbour sets: the
-    vertex held[j] holds sets[j] and, when light, has its heavy neighbours
-    in row[start[j]:start[j] + size[j]].  Vertices are found by sorted id,
-    so any int64 id works.  With `census`, `triangles` is the sample's own
-    triangle count, a third of the count summed over its edges (else 0)."""
+    """A fixed edge sample on the slots 0..n-1, split for counting after
+    Alon, Yuster and Zwick (1997).  The heavy vertices (`_heavy_core`) index
+    a float32 matrix A of the sample edges between two of them (pos[v] is
+    slot v's index, or -1), and C = A @ A counts their common heavy
+    neighbours.  Every other sample edge stays in neighbour sets: slot v
+    holds sets[v] when has[v] and, when light, has its heavy neighbours in
+    row[start[v]:start[v] + size[v]] (int32 fits: under 2^31 sample edges).
+    With `census`, `triangles` counts the sample's own triangles, else 0."""
 
-    def __init__(self, KU, KV, census):
+    def __init__(self, KU, KV, census, n):
         self.heavy = hid = _heavy_core(KU, KV)
         LU, LV = KU, KV
         if hid.size:
-            iu, hu = _locate(hid, KU)
-            iv, hv = _locate(hid, KV)
+            self.pos = np.full(n, -1, dtype=np.int32)
+            self.pos[hid] = np.arange(hid.size)
+            iu, iv = self.pos.take(KU), self.pos.take(KV)
+            hu, hv = iu >= 0, iv >= 0
             both = hu & hv
             one = hu ^ hv
             light, h = np.where(hu, KV, KU)[one], np.where(hu, iu, iv)[one]
             LU, LV = KU[~both], KV[~both]
-        adj = {}
+        adj = [None] * n
         _count_and_add(adj, [(LU.tolist(), LV.tolist(), repeat(True))], False)
-        held = np.fromiter(adj, dtype=np.int64, count=len(adj))
-        sets = np.empty(held.size, dtype=object)
-        sets[:] = list(adj.values())
-        order = np.argsort(held)
-        self.held, self.sets = held[order], sets[order]
-        del adj, sets
+        self.sets = np.empty(n, dtype=object)
+        self.sets[:] = adj
+        self.has = np.zeros(n, dtype=bool)
+        self.has[LU] = self.has[LV] = True
         if hid.size:
             A = np.zeros((hid.size, hid.size), dtype=np.float32)
             A[iu[both], iv[both]] = A[iv[both], iu[both]] = 1.0
             self.A, self.C = A, _dense_kernel(A, False)[0]
             # each light-heavy sample edge joins its light end's row
-            j = _locate(self.held, light)[0]
-            self.row = h[np.argsort(j, kind="stable")]
-            self.size = np.bincount(j, minlength=held.size)
-            self.start = np.cumsum(self.size) - self.size
+            self.row = h[np.argsort(light, kind="stable")]
+            self.size = np.bincount(light, minlength=n).astype(np.int32)
+            self.start = np.cumsum(self.size, dtype=np.int32) - self.size
         self.triangles = self.count(KU, KV) // 3 if census else 0
 
     def count(self, U, V):
-        """The common sampled neighbours of U[i] and V[i], summed over i:
-        the common neighbours in the sets, plus C[u, v] when both ends are
-        heavy, plus, when one end h is heavy, the heavy neighbours of the
-        light end joined to h in A."""
-        s = 0
-        if self.held.size:
-            ju, setu = _locate(self.held, U)
-            jv, setv = _locate(self.held, V)
-            sets = setu & setv
-            s += sum(map(len, map(and_, self.sets[ju[sets]], self.sets[jv[sets]])))
+        """The common sampled neighbours of the slots U[i] and V[i], summed
+        over i: the common neighbours in the sets, plus C[u, v] when both
+        ends are heavy, plus, when one end h is heavy, the heavy neighbours
+        of the light end joined to h in A."""
+        setu, setv = self.has.take(U), self.has.take(V)
+        sets = setu & setv
+        s = sum(map(len, map(and_, self.sets[U[sets]], self.sets[V[sets]])))
         if not self.heavy.size:
             return s
-        iu, hu = _locate(self.heavy, U)
-        iv, hv = _locate(self.heavy, V)
+        iu, iv = self.pos.take(U), self.pos.take(V)
+        hu, hv = iu >= 0, iv >= 0
         both = hu & hv
         s += int(self.C[iu[both], iv[both]].sum(dtype=np.float64))
         if self.row.size:
             one = (hu ^ hv) & np.where(hu, setv, setu)
-            j, h = np.where(hu, jv, ju)[one], np.where(hu, iu, iv)[one]
+            j, h = np.where(hu, V, U)[one], np.where(hu, iu, iv)[one]
             size = self.size[j]
             first = np.repeat(self.start[j] - (np.cumsum(size) - size), size)
             w = self.row[first + np.arange(first.size)]
@@ -352,15 +332,24 @@ class _Sample:
         return s
 
 
+def _slot_lists(edges):
+    """The ends of the explicit edge list `edges` as two lists of slots,
+    given in id order, and the number of slots."""
+    us, vs = [u for u, _ in edges], [v for _, v in edges]
+    slot = {x: i for i, x in enumerate(sorted({*us, *vs}))}
+    return list(map(slot.__getitem__, us)), list(map(slot.__getitem__, vs)), len(slot)
+
+
 def _sample_then_closures(edges, keep, census):
     """Both passes of the two-pass core on an explicit edge list and keep
     mask: the kept edges build the sample, then the dropped ones count the
     triangles they close against it.  Returns that sum, plus the sample's
     own triangle count when `census`."""
-    E = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    us, vs, n = _slot_lists(edges)
+    U, V = np.array((us, vs), dtype=np.int64).reshape(2, -1)
     keep = np.array(keep, dtype=bool)
-    sample = _Sample(*E[keep].T, census)
-    return sample.triangles + sample.count(*E[~keep].T)
+    sample = _Sample(U[keep], V[keep], census, n)
+    return sample.triangles + sample.count(U[~keep], V[~keep])
 
 
 def alg1_pass2_count(edges, keep):
@@ -378,10 +367,10 @@ def _walk_in_order(edges_in_order, keep, census):
     """The one-pass walk over an explicit arrival order and keep mask, with
     the kept edges' `_heavy_core` held as bit masks: (s, t) of
     `_count_and_add`."""
-    us, vs = [e[0] for e in edges_in_order], [e[1] for e in edges_in_order]
+    us, vs, n = _slot_lists(edges_in_order)
     core = _heavy_core([u for u, k in zip(us, keep) if k],
                        [v for v, k in zip(vs, keep) if k])
-    return _count_and_add({}, [(us, vs, keep)], census, core.tolist())
+    return _count_and_add([None] * n, [(us, vs, keep)], census, core.tolist())
 
 
 def alg1_one_pass_count(edges_in_order, keep):
@@ -398,18 +387,18 @@ def alg2_one_pass_count(edges_in_order, keep):
 # the passes: every coin of every estimator is drawn in `_coins`
 
 def _coins(stream, p, rng):
-    """One pass over the stream: yields (U, V, keep) per chunk, where keep
-    marks the edges kept with probability p, one uniform from `rng` per
+    """One pass over the stream's slots: yields (U, V, keep) per chunk, keep
+    marking the edges kept with probability p, one uniform from `rng` per
     edge in stream order; a later pass replays the masks (`_replay`)."""
-    for U, V in stream.iter_chunks():
+    for U, V in stream._slot_chunks():
         yield U, V, rng.random(U.size) < p
 
 
 def _replay(stream, keeps):
-    """A fresh pass over the stream, each chunk (U, V) with the keep mask
-    an earlier pass drew for it: yields (U, V, keep).  A pass with another
-    number of chunks, or a chunk of another size, raises SourceChangedError."""
-    for j, (chunk, keep) in enumerate(zip_longest(stream.iter_chunks(), keeps)):
+    """A fresh pass over the stream's slots, each chunk (U, V) with the keep
+    mask an earlier pass drew for it: yields (U, V, keep).  Another number
+    of chunks, or a chunk of another size, raises SourceChangedError."""
+    for j, (chunk, keep) in enumerate(zip_longest(stream._slot_chunks(), keeps)):
         if chunk is None or keep is None or chunk[0].size != keep.size:
             raise SourceChangedError("chunk %d of a pass over the stream differs from "
                                      "the pass that drew its coins" % j)
@@ -428,7 +417,7 @@ def _dense_fits(stream, p):
 
 
 def _kept_edges(stream, p, rng):
-    """One pass of `_coins`: the endpoints (KU, KV) of the kept edges, in
+    """One pass of `_coins`: the end slots (KU, KV) of the kept edges, in
     stream order, and the list of each chunk's keep mask."""
     kus, kvs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     keeps = []
@@ -449,10 +438,12 @@ def _two_pass_counts(stream, p, rng, census):
     When `_dense_fits`, C = A @ A for the sample's adjacency matrix A, and
     pass 2 sums C[u, v] over every stream edge, less the kept edges'
     share: 3 t_S for the sample's t_S triangles, each closed by its three
-    kept edges.  That relies on the stream's contract of distinct edges.
-    Otherwise pass 2 replays pass 1's masks against a `_Sample`."""
+    kept edges.  That relies on the stream's distinct edges: the trace of
+    C, the sample degrees summed, must be twice the kept edges, else a kept
+    edge streamed by twice.  Otherwise pass 2 replays pass 1's masks
+    against a `_Sample`."""
+    n = stream._slot_map()[0]
     if _dense_fits(stream, p):
-        n = stream.max_vertex_id + 1
         A, kept = np.zeros((n, n), dtype=np.float32), 0
         for U, V, keep in _coins(stream, p, rng):
             i = np.flatnonzero(keep)  # one index pass serves both ends
@@ -460,11 +451,13 @@ def _two_pass_counts(stream, p, rng, census):
             A[ku, kv] = A[kv, ku] = 1.0
             kept += i.size
         common, t_in = _dense_kernel(A, True)
+        if int(common.trace(dtype=np.float64)) != 2 * kept:
+            raise ValueError("the stream repeats a kept edge; its edges must be distinct")
         closed = sum(int(common.take(U * n + V).sum(dtype=np.float64))
-                     for U, V in stream.iter_chunks())
+                     for U, V in stream._slot_chunks())
         return closed - 3 * t_in + (t_in if census else 0), kept
     KU, KV, keeps = _kept_edges(stream, p, rng)
-    sample, kept = _Sample(KU, KV, census), KU.size
+    sample, kept = _Sample(KU, KV, census, n), KU.size
     del KU, KV
     s = sum(sample.count(U[~keep], V[~keep]) for U, V, keep in _replay(stream, keeps))
     return sample.triangles + s, kept
@@ -484,7 +477,7 @@ def _one_pass_count(stream, p, rng, census):
     del KU, KV
     chunks = ((U.tolist(), V.tolist(), keep.tolist())
               for U, V, keep in _replay(stream, keeps))
-    return sum(_count_and_add({}, chunks, census, core)), kept
+    return sum(_count_and_add([None] * stream._slot_map()[0], chunks, census, core)), kept
 
 
 # ---------------------------------------------------------------------------

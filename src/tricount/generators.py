@@ -12,8 +12,7 @@ import math
 
 import numpy as np
 
-from .edgelist import _INT64_MAX
-from .graph import AdjacencyGraph, count_triangles_exact, _vertex_range
+from .graph import AdjacencyGraph, count_triangles_exact, _vertex_range, _INT64_MAX
 from .stream import (EdgeStream, Order, open_stream, _ExpanderSource, _rechunk,
                      check_seed)
 
@@ -119,7 +118,7 @@ def blow_up(source, T):
         return _rechunk(copies, chunk_size)
 
     n_out = base.n * T if base.n is not None else None
-    src = _ExpanderSource(base.m * T * T, expand_chunks, n=n_out, max_id=max_out)
+    src = _ExpanderSource(base.m * T * T, expand_chunks)
     return EdgeStream(src, order=Order.AS_GIVEN, seed=0, n=n_out, max_vertex_id=max_out)
 
 

@@ -5,15 +5,19 @@ any number of times; every traversal of the same instance yields the exact
 same order.  The order is either the source order or a random permutation
 drawn once at construction from a seed, never redrawn between passes.
 
-A file stream parses the whole file once when it is opened: the parse
-gives m, rejects malformed lines, and finds repeated edges with one sort of
-the endpoint arrays.  The stream keeps those arrays (16 bytes per edge),
-and its passes, in either order, slice or gather each chunk from them as a
-memory stream does.  `validate=False` skips the duplicate check of
-in-memory sources only.  The file's size and modification time are
-recorded before the parse; a pass over a file whose size or time has
-changed since raises SourceChangedError.  An edit that keeps both goes
-unseen: the pass yields the parsed edges.
+A file stream parses the whole file once when it is opened, rejecting
+malformed lines and repeated edges, and keeps the endpoint arrays (16
+bytes per edge); its passes, in either order, slice or gather each chunk
+from them as a memory stream does.  The file's size and modification time
+are recorded before the parse, and a pass over a file whose size or time
+has changed raises SourceChangedError; an edit that keeps both goes
+unseen.  `validate=False` skips the checks of in-memory sources only.
+
+The estimators count on vertex slots, the stream's n vertices numbered
+0..n-1 in id order, mapped once per stream when first asked for.  Ids
+that are exactly 0..n-1, as every generator's are, are their own slots; a
+range of at most 4 ids per edge end maps through a table, and a sparser
+one through one sort of the distinct ids.  The passes still yield ids.
 
 Randomness is split by purpose.  The permutation, the sampling coins and
 the per-trial substreams are derived from (seed, tag) so that reusing one
@@ -26,7 +30,8 @@ import os
 
 import numpy as np
 
-from .graph import AdjacencyGraph, _check_edges, _vertex_range
+from .graph import (AdjacencyGraph, _check_edges, _id_arrays, _pair_arrays,
+                    _vertex_range)
 from .edgelist import read_edge_arrays
 
 
@@ -166,17 +171,12 @@ class _ExpanderSource:
     kind = "expanded"
     seekable = False
 
-    def __init__(self, m, chunk_iter_factory, n=None, max_id=None):
+    def __init__(self, m, chunk_iter_factory):
         self.m = m
         self._factory = chunk_iter_factory
-        self._n = n
-        self._max_id = max_id
 
     def iter_chunks(self, chunk_size):
         return self._factory(chunk_size)
-
-    def scan(self):
-        return self._n, self._max_id
 
 
 class EdgeStream:
@@ -192,12 +192,11 @@ class EdgeStream:
         self.m = source.m
         self.n = n
         self.max_vertex_id = max_vertex_id
+        self._slots = self._perm = None
         if order == Order.RANDOM_PERMUTATION:
             if not source.seekable:
                 raise ValueError("this stream source only supports as-given order")
             self._perm = order_rng(self.seed).permutation(self.m)
-        else:
-            self._perm = None
 
     @property
     def source_kind(self):
@@ -208,13 +207,38 @@ class EdgeStream:
         of `chunk_size` edges (default 65536), the last one possibly shorter."""
         cs = _CHUNK_SIZE if chunk_size is None else chunk_size
         if not isinstance(cs, numbers.Integral) or cs < 1:
-            raise ValueError("chunk_size must be a positive integer, got %r"
-                             % (chunk_size,))
+            raise ValueError("chunk_size must be a positive integer, got %r" % (chunk_size,))
         if self._perm is None:
             yield from self._source.iter_chunks(cs)
         else:
             for s in range(0, self.m, cs):
                 yield self._source.take(self._perm[s:s + cs])
+
+    def _slot_map(self):
+        """(n, f): f maps an id array to its vertex slots, or is None when
+        every id is its own slot.  Built on first use, by one extra pass
+        unless the ids are exactly 0..n-1."""
+        if self._slots is None:
+            n, top, f = self.n, self.max_vertex_id, None
+            if self.m and (top is None or n != top + 1):
+                if top is not None and top < 8 * self.m:
+                    present = np.zeros(top + 1, dtype=bool)
+                    for U, V in self.iter_chunks():
+                        present[U] = present[V] = True
+                    slot = np.cumsum(present) - 1
+                    n = int(slot[-1]) + 1
+                    f = None if n == top + 1 else slot.take
+                else:
+                    ids = np.unique(np.concatenate([X for UV in self.iter_chunks() for X in UV]))
+                    n, f = ids.size, ids.searchsorted
+            self._slots = n or 0, f
+        return self._slots
+
+    def _slot_chunks(self):
+        """One pass of `iter_chunks` with each id replaced by its slot."""
+        f = self._slot_map()[1]
+        for U, V in self.iter_chunks():
+            yield (U, V) if f is None else (f(U), f(V))
 
     def iter_edges(self, chunk_size=None):
         """Yield (u, v) integer tuples covering one full pass."""
@@ -229,34 +253,12 @@ class EdgeStream:
             self.source_kind, self.m, self.order, self.seed)
 
 
-def _id_arrays(U, V, copy):
-    """The endpoint arrays U and V as int64, copied when `copy`; a
-    ValueError unless they are 1-D integer arrays of equal length."""
-    U, V = np.asarray(U), np.asarray(V)
-    if U.ndim != 1 or V.ndim != 1 or U.size != V.size:
-        raise ValueError("endpoint arrays must be 1-D and of equal length")
-    for X in (U, V):
-        # numpy holds Python ints past int64 as uint64, float64 or object
-        if X.dtype.kind not in "iu" or (X.dtype.kind == "u" and X.size
-                                        and X.max() > np.iinfo(np.int64).max):
-            raise ValueError("vertex ids must be integers within int64, got "
-                             "a %s array" % X.dtype)
-    as_ids = np.array if copy else np.asarray
-    return as_ids(U, dtype=np.int64), as_ids(V, dtype=np.int64)
-
-
 def _memory_source_from(source, copy):
     if isinstance(source, AdjacencyGraph):  # checked when it was built
         return _MemorySource(*source.edge_arrays(), distinct=True)
     if isinstance(source, tuple) and len(source) == 2 and isinstance(source[0], np.ndarray):
-        return _MemorySource(*_id_arrays(source[0], source[1], copy))
-    pairs = list(source)
-    if not pairs:
-        return _MemorySource(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    arr = np.array(pairs)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("in-memory edge source must be pairs of vertex ids")
-    return _MemorySource(*_id_arrays(arr[:, 0], arr[:, 1], True))
+        return _MemorySource(*_id_arrays(*source, copy=copy))
+    return _MemorySource(*_pair_arrays(source))
 
 
 def open_stream(source, order=Order.AS_GIVEN, seed=0, validate=True):
@@ -264,23 +266,23 @@ def open_stream(source, order=Order.AS_GIVEN, seed=0, validate=True):
     endpoint arrays, or any iterable of (u, v) pairs.
 
     Validation scans the whole input once: malformed lines, negative ids,
-    self-loops and duplicate edges are errors, the first in input order.  The scan also records the vertex count and the
-    largest id, which the estimators use for parameter selection.  A file
-    is always scanned, and its stream keeps the parsed endpoint arrays for
-    its passes; `validate=False` skips the scan of in-memory sources only.
-    Ids that are not integers, or endpoint arrays that are not 1-D, are a
-    ValueError either way.  A validated stream copies a pair of endpoint
+    self-loops and duplicate edges are errors, the first in input order.
+    The scan also records the vertex count and the largest id, from which
+    the estimators pick p, their engine and the vertex slots.  A file is
+    always scanned, and its stream keeps the parsed endpoint arrays for its
+    passes; `validate=False` skips the scan of in-memory sources only.  Ids
+    that are not integers within int64, or endpoint arrays that are not
+    1-D, are a ValueError either way.  A validated stream copies a pair of endpoint
     arrays, so later writes to them do not reach its passes; with
     `validate=False` an int64 pair is used as it is, and the caller must
     leave it unchanged while the stream is in use and repeat no edge.
     """
     if isinstance(source, (str, os.PathLike)):
         src = _FileSource(source)
-        n, max_id = src.scan()
     else:
         src = _memory_source_from(source, copy=validate)
-        if validate:
-            n, max_id = src.scan()
-        else:
-            n, max_id = None, int(max(src.U.max(), src.V.max())) if src.m else None
+    if validate or src.kind == "file":
+        n, max_id = src.scan()
+    else:
+        n, max_id = None, int(max(src.U.max(), src.V.max())) if src.m else None
     return EdgeStream(src, order=order, seed=seed, n=n, max_vertex_id=max_id)

@@ -389,9 +389,12 @@ def test_estimators_match_oracles_at_huge_ids(tmp_path):
     for p in (0.5, 0.9):
         check_estimators_against_oracles(edges, f, p, 4, dense=False)
     # its 40 edges put the hub alone in the default core (at p = 0.9 it
-    # keeps about 36 of them, past the threshold of 32)
-    U, V = np.array(edges, dtype=np.int64).T
-    assert _heavy_core(U, V).tolist() == [hub]
+    # keeps about 36 of them, past the threshold of 32); the core holds
+    # slots, and the hub, the largest of the 41 ids, has the last one
+    stream = open_stream(edges)
+    assert stream._slot_map()[1].__name__ == "searchsorted"
+    U, V = next(stream._slot_chunks())
+    assert _heavy_core(U, V).tolist() == [40]
 
 
 def test_heavy_core_takes_the_highest_degrees(monkeypatch):
@@ -419,11 +422,11 @@ def test_sample_splits_heavy_and_light(monkeypatch, core):
     edges = [(u, v) for u in range(5) for v in range(u + 1, 5)]
     edges += [(4, 5), (5, 6), (0, 5), (1, 5), (2, 5)]
     U, V = np.array(edges, dtype=np.int64).T
-    sample = _Sample(U, V, census=True)
+    sample = _Sample(U, V, census=True, n=8)  # slot 7 is a vertex of no edge
     heavy = set(sample.heavy.tolist())
     assert 0 < len(heavy) <= core[1]
     in_a = int(sample.A.sum()) // 2
-    in_sets = sum(len(x) for x in sample.sets) // 2
+    in_sets = sum(len(x) for x in sample.sets[sample.has]) // 2
     assert in_a == sum(u in heavy and v in heavy for u, v in edges)
     assert in_a + in_sets == len(edges)
     adj = oracles._adj_from_edges(edges)
@@ -452,7 +455,8 @@ def test_one_pass_masks_match_oracle_at_huge_ids(monkeypatch, core):
         p = rng.choice((0.3, 0.6, 0.9))
         keep = [rng.random() < p for _ in edges]
         kept = [e for e, k in zip(edges, keep) if k]
-        assert len(_heavy_core(*np.array(kept, dtype=np.int64).reshape(-1, 2).T)) > 0
+        # the core of the kept edges' slots, ids less base, is not empty
+        assert len(_heavy_core(*(np.array(kept, dtype=np.int64).reshape(-1, 2) - base).T)) > 0
         s, r = oracles.one_pass_counts(edges, keep)
         assert alg1_one_pass_count(edges, keep) == s
         assert alg2_one_pass_count(edges, keep) == r
@@ -552,8 +556,10 @@ def rechunked_stream(first, later):
         ends = np.cumsum(sizes)
         return ((U[e - k:e], V[e - k:e]) for k, e in zip(sizes, ends))
 
-    src = stream_module._ExpanderSource(sum(first), chunks, None, int(V.max()))
-    return stream_module.EdgeStream(src)
+    # the stream declares its ids 0..13 as a scanned one would, so they are
+    # their own slots and no pass maps them before the coins are drawn
+    src = stream_module._ExpanderSource(sum(first), chunks)
+    return stream_module.EdgeStream(src, n=14, max_vertex_id=13)
 
 
 @pytest.mark.parametrize("later", [[5] * 6, [8, 8, 8], [8, 8, 8, 6, 4]])
@@ -567,6 +573,66 @@ def test_replays_need_the_chunks_the_coins_were_drawn_on(monkeypatch, later):
             count(rechunked_stream(first, later), 0.5, sampler_rng(2), True)
         want = count(open_stream(POOL[:30]), 0.5, sampler_rng(2), True)
         assert count(rechunked_stream(first, first), 0.5, sampler_rng(2), True) == want
+
+
+def test_dense_engine_rejects_a_repeated_kept_edge():
+    # (0, 1) streams by twice and both copies are kept, so the sample
+    # degrees, the trace of C, sum to 8 against 2 * kept = 10; the sets
+    # engine would count that stream differently, which hid the fault
+    edges = [(0, 1), (1, 2), (0, 2), (0, 1), (2, 3), (1, 3)]
+    stream = open_stream(edges, validate=False)
+    assert (sampler_rng(2).random(6) < 0.6).tolist() == [True] * 4 + [False, True]
+    assert _dense_fits(stream, 0.6)
+    with pytest.raises(ValueError, match="edges must be distinct"):
+        alg1_two_pass(stream, 0.6, 2)
+
+
+# ---------------------------------------------------------------------------
+# vertex slots
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_reports_do_not_depend_on_vertex_ids(validate):
+    # the estimators count on slots 0..n-1 given in id order, so relabelling
+    # the ids leaves every report as it was: the ids 0..n-1 are their own
+    # slots, ids with holes in [0, 3n) go through a table and ids spread by
+    # 2^40 are looked up among the sorted distinct ids.  Four hubs make a
+    # heavy core at p = 0.5, and the plain ids take the dense engine
+    r = random.Random(5)
+    edges = [(u, v) for u in range(120) for v in range(u + 1, 120)
+             if r.random() < (0.7 if u < 4 else 0.06)]
+    U, V = np.array(edges, dtype=np.int64).T
+    n = 120
+    assert np.unique(np.concatenate((U, V))).size == n
+    maps = [(np.arange(n), None),
+            (np.random.default_rng(1).choice(3 * n, n, replace=False), "take"),
+            (np.arange(n) * 2 ** 40 + 7, "searchsorted")]
+    got = []
+    for f, path in maps:
+        given = open_stream((f[U], f[V]), validate=validate)
+        shuffled = open_stream((f[U], f[V]), order=Order.RANDOM_PERMUTATION, seed=2,
+                               validate=validate)
+        reps = []
+        for stream in (given, shuffled):
+            reps += [alg1_two_pass(stream, 0.5, 1).to_json(),
+                     alg2_two_pass(stream, 0.5, 2, 1).to_json()]
+        reps += [alg1_one_pass_random(shuffled, 0.5, 1).to_json(),
+                 alg2_one_pass_random(shuffled, 0.5, 2, 1).to_json()]
+        got.append(reps)
+        for stream in (given, shuffled):
+            assert stream._slot_map()[0] == n
+            assert getattr(stream._slot_map()[1], "__name__", None) == path
+        # the passes still yield the ids, not the slots
+        perm = order_rng(2).permutation(len(edges))
+        for stream, order in ((given, np.arange(len(edges))), (shuffled, perm)):
+            SU, SV = (np.concatenate(X) for X in zip(*stream.iter_chunks()))
+            assert SU.tolist() == f[U][order].tolist() and SV.tolist() == f[V][order].tolist()
+    assert _dense_fits(open_stream((U, V)), 0.5)
+    assert got[0] == got[1] == got[2]
+    if validate:
+        # a scanned stream of the ids 0..n-1 maps them without a pass
+        plain = open_stream((U, V))
+        plain._source = None
+        assert plain._slot_map() == (n, None)
 
 
 # ---------------------------------------------------------------------------

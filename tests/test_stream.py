@@ -206,10 +206,15 @@ def test_open_stream_sources():
 ])
 def test_non_integer_ids_are_rejected(source):
     # truncating 0.5 and 1.7 would yield the edge (0, 1), and ids past int64
-    # would wrap to negative ones
+    # would wrap to negative ones; a graph checks its edges the same way
     for validate in (True, False):
         with pytest.raises(ValueError, match="integers"):
             open_stream(source, validate=validate)
+    pairs = list(zip(*source)) if isinstance(source, tuple) else source
+    with pytest.raises(ValueError, match="integers"):
+        AdjacencyGraph(pairs)
+    with pytest.raises(ValueError, match="integers"):
+        AdjacencyGraph([(0, 1)], vertices=[v for e in pairs for v in e])
 
 
 def test_two_dimensional_endpoint_arrays_are_rejected():
