@@ -140,10 +140,13 @@ def _cmd_exact(args):
 # ---------------------------------------------------------------------------
 # estimate
 
+def _default_order(algorithm):
+    return Order.RANDOM_PERMUTATION if algorithm in Algorithm.ONE_PASS else Order.AS_GIVEN
+
+
 def _resolve_order(args):
     if args.order is None:
-        return (Order.RANDOM_PERMUTATION if args.algorithm in Algorithm.ONE_PASS
-                else Order.AS_GIVEN)
+        return _default_order(args.algorithm)
     if args.algorithm in Algorithm.ONE_PASS and args.order == Order.AS_GIVEN:
         raise ParamError("%s needs --order random (its guarantee only holds on "
                          "randomly ordered streams)" % args.algorithm)
@@ -285,8 +288,15 @@ def _cmd_bench(args):
     else:
         points = [(v, None if args.p is None else args.p) for v in sweep_vals]
 
+    def trial_stream(order, seed=0):
+        # the arrays were checked above, and telling each stream their
+        # vertex count spares it a pass to map ids 0..n-1 to slots
+        stream = open_stream((U, V), order=order, seed=seed, validate=False)
+        stream.n = n
+        return stream
+
     alg = args.algorithm
-    base_stream = open_stream((U, V), validate=False)
+    base_stream = trial_stream(Order.AS_GIVEN)
 
     rows = []
     for pi, (eps, p_fixed) in enumerate(points):
@@ -296,8 +306,7 @@ def _cmd_bench(args):
             seed = bench_seed(args.seed, pi, ti)
             t0 = time.perf_counter()
             if alg in Algorithm.ONE_PASS:
-                stream = open_stream((U, V), order=Order.RANDOM_PERMUTATION,
-                                     seed=seed, validate=False)
+                stream = trial_stream(Order.RANDOM_PERMUTATION, seed)
             else:
                 stream = base_stream
             rep = _run_estimator(alg, stream, p, seed, l, eps, args.T)

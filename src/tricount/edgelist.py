@@ -117,6 +117,15 @@ def _parse_lines(buf, lineno):
     return arrays, err
 
 
+def _parse_block(buf, lineno):
+    """The one parser of edge list text: `buf` holds whole lines, the first
+    numbered `lineno`.  Returns ((U, V, line), error or None)."""
+    parsed = _parse_fast(buf)
+    if parsed is not None:
+        return parsed, None
+    return _parse_lines(buf, lineno)
+
+
 def _line_blocks(f):
     """Yield (buf, lineno) over a binary file: runs of whole lines of about
     _BLOCK_BYTES and the number of their first line.  The last block may
@@ -148,8 +157,7 @@ def iter_edge_blocks(path):
     raises EdgeListParseError after every edge above it has been yielded."""
     with open(path, "rb") as f:
         for buf, lineno in _line_blocks(f):
-            parsed = _parse_fast(buf)
-            (U, V, line), err = (parsed, None) if parsed is not None else _parse_lines(buf, lineno)
+            (U, V, line), err = _parse_block(buf, lineno)
             if U.size:
                 yield U, V, line + lineno
             if err is not None:

@@ -410,9 +410,11 @@ def _dense_fits(stream, p):
     fills at least 1/128 of it.  With one BLAS thread at p = 0.3, dense
     overtakes sets at p*m of about 1.5, 4-5, 7 and 12-13 times n+1 for
     n = 256, 512, 1024 and 2048: the crossover grows with n, and
-    (n+1)^2 / 128 lies at or just past each of them."""
+    (n+1)^2 / 128 lies at or just past each of them.  The matrix has a row
+    per slot, and only negative ids, which an unvalidated stream may carry,
+    make the slots outnumber the ids 0..nmax."""
     nmax = stream.max_vertex_id
-    return (nmax is not None and nmax + 1 <= _DENSE_MAX_N
+    return (nmax is not None and stream._slot_map()[0] <= nmax + 1 <= _DENSE_MAX_N
             and p * stream.m >= (nmax + 1) ** 2 / 128.0)
 
 

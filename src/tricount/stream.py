@@ -5,19 +5,23 @@ any number of times; every traversal of the same instance yields the exact
 same order.  The order is either the source order or a random permutation
 drawn once at construction from a seed, never redrawn between passes.
 
-A file stream parses the whole file once when it is opened, rejecting
-malformed lines and repeated edges, and keeps the endpoint arrays (16
-bytes per edge); its passes, in either order, slice or gather each chunk
-from them as a memory stream does.  The file's size and modification time
-are recorded before the parse, and a pass over a file whose size or time
-has changed raises SourceChangedError; an edit that keeps both goes
-unseen.  `validate=False` skips the checks of in-memory sources only.
+A file stream parses the whole file once when it is opened: the parse
+gives m, rejects malformed lines, and finds repeated edges with one sort of
+the endpoint arrays.  The stream keeps those arrays (16 bytes per edge),
+and its passes, in either order, slice or gather each chunk from them as a
+memory stream does.  `validate=False` skips the duplicate check of
+in-memory sources only.  The file's size and modification time are
+recorded before the parse; a pass over a file whose size or time has
+changed since raises SourceChangedError.  An edit that keeps both goes
+unseen: the pass yields the parsed edges.
 
 The estimators count on vertex slots, the stream's n vertices numbered
-0..n-1 in id order, mapped once per stream when first asked for.  Ids
-that are exactly 0..n-1, as every generator's are, are their own slots; a
-range of at most 4 ids per edge end maps through a table, and a sparser
-one through one sort of the distinct ids.  The passes still yield ids.
+0..n-1 in id order, mapped once per stream when first asked for.  Ids the
+stream knows to be exactly 0..n-1, as a scanned generator graph's are,
+are their own slots.  Otherwise one extra pass sorts the distinct ids and
+keeps them (8 bytes per vertex), and an id's slot is its place among
+them; this also numbers the negative ids an unvalidated stream may carry.
+The passes still yield ids.
 
 Randomness is split by purpose.  The permutation, the sampling coins and
 the per-trial substreams are derived from (seed, tag) so that reusing one
@@ -207,7 +211,8 @@ class EdgeStream:
         of `chunk_size` edges (default 65536), the last one possibly shorter."""
         cs = _CHUNK_SIZE if chunk_size is None else chunk_size
         if not isinstance(cs, numbers.Integral) or cs < 1:
-            raise ValueError("chunk_size must be a positive integer, got %r" % (chunk_size,))
+            raise ValueError("chunk_size must be a positive integer, got %r"
+                             % (chunk_size,))
         if self._perm is None:
             yield from self._source.iter_chunks(cs)
         else:
@@ -217,20 +222,18 @@ class EdgeStream:
     def _slot_map(self):
         """(n, f): f maps an id array to its vertex slots, or is None when
         every id is its own slot.  Built on first use, by one extra pass
-        unless the ids are exactly 0..n-1."""
+        that sorts the distinct ids unless the stream knows its n ids and
+        the largest is n-1."""
         if self._slots is None:
-            n, top, f = self.n, self.max_vertex_id, None
-            if self.m and (top is None or n != top + 1):
-                if top is not None and top < 8 * self.m:
-                    present = np.zeros(top + 1, dtype=bool)
-                    for U, V in self.iter_chunks():
-                        present[U] = present[V] = True
-                    slot = np.cumsum(present) - 1
-                    n = int(slot[-1]) + 1
-                    f = None if n == top + 1 else slot.take
-                else:
-                    ids = np.unique(np.concatenate([X for UV in self.iter_chunks() for X in UV]))
-                    n, f = ids.size, ids.searchsorted
+            n, f = self.n, None
+            if self.m and (n is None or n != self.max_vertex_id + 1):
+                # a sort and a neighbour compare beat np.unique's hashing
+                ids = np.concatenate([X for UV in self.iter_chunks() for X in UV])
+                ids.sort()
+                ids = ids[np.concatenate(([True], ids[1:] != ids[:-1]))]
+                n = ids.size
+                if ids[0] != 0 or ids[-1] != n - 1:
+                    f = ids.searchsorted
             self._slots = n or 0, f
         return self._slots
 

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from tricount import cli
+from tricount.stream import EdgeStream
 import oracles
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -294,6 +295,21 @@ def test_bench_one_pass(planted_file):
                 "--trials", "3")
     assert r.returncode == 0
     assert len(r.stdout.strip().splitlines()) == 4
+
+
+def test_bench_trials_map_no_slots(planted_file, monkeypatch, capsys):
+    # bench knows the vertex count of the arrays it checked, so a trial's
+    # stream of the ids 0..n-1 takes them as slots without a pass of its own
+    passes = []
+    iter_chunks = EdgeStream.iter_chunks
+    monkeypatch.setattr(EdgeStream, "iter_chunks",
+                        lambda self, chunk_size=None: passes.append(self)
+                        or iter_chunks(self, chunk_size))
+    assert cli.main(["bench", "alg1-rand", "--input", planted_file, "--p", "0.5",
+                     "--trials", "3"]) == 0
+    # a look-ahead and a counting pass per trial, on three streams
+    assert len(passes) == 6 and len(set(map(id, passes))) == 3
+    assert len(capsys.readouterr().out.strip().splitlines()) == 4
 
 
 @pytest.mark.parametrize("alg, extra", [("alg1", ()), ("alg1-rand", ()),

@@ -594,9 +594,10 @@ def test_dense_engine_rejects_a_repeated_kept_edge():
 def test_reports_do_not_depend_on_vertex_ids(validate):
     # the estimators count on slots 0..n-1 given in id order, so relabelling
     # the ids leaves every report as it was: the ids 0..n-1 are their own
-    # slots, ids with holes in [0, 3n) go through a table and ids spread by
-    # 2^40 are looked up among the sorted distinct ids.  Four hubs make a
-    # heavy core at p = 0.5, and the plain ids take the dense engine
+    # slots, and ids with holes in [0, 3n), ids spread by 2^40 and, on an
+    # unvalidated stream, negative ids are looked up among the sorted
+    # distinct ids.  Four hubs make a heavy core at p = 0.5, and the plain
+    # ids take the dense engine
     r = random.Random(5)
     edges = [(u, v) for u in range(120) for v in range(u + 1, 120)
              if r.random() < (0.7 if u < 4 else 0.06)]
@@ -604,8 +605,13 @@ def test_reports_do_not_depend_on_vertex_ids(validate):
     n = 120
     assert np.unique(np.concatenate((U, V))).size == n
     maps = [(np.arange(n), None),
-            (np.random.default_rng(1).choice(3 * n, n, replace=False), "take"),
+            (np.random.default_rng(1).choice(3 * n, n, replace=False), "searchsorted"),
             (np.arange(n) * 2 ** 40 + 7, "searchsorted")]
+    if not validate:
+        # ids -60..59, and ids -120..-61 with 60..119: n ids whose largest
+        # is n - 1, yet not their own slots
+        maps += [(np.arange(n) - n // 2, "searchsorted"),
+                 (np.arange(n) - n * (np.arange(n) < n // 2), "searchsorted")]
     got = []
     for f, path in maps:
         given = open_stream((f[U], f[V]), validate=validate)
@@ -627,7 +633,10 @@ def test_reports_do_not_depend_on_vertex_ids(validate):
             SU, SV = (np.concatenate(X) for X in zip(*stream.iter_chunks()))
             assert SU.tolist() == f[U][order].tolist() and SV.tolist() == f[V][order].tolist()
     assert _dense_fits(open_stream((U, V)), 0.5)
-    assert got[0] == got[1] == got[2]
+    # ids -60..59 have 120 slots, more than the ids 0..59, so they took the
+    # sets engine, not a matrix sized by the largest id
+    assert validate or not _dense_fits(open_stream((U - n // 2, V - n // 2), validate=False), 0.5)
+    assert all(reps == got[0] for reps in got)
     if validate:
         # a scanned stream of the ids 0..n-1 maps them without a pass
         plain = open_stream((U, V))
