@@ -18,7 +18,7 @@ import time
 
 from .edgelist import EdgeListParseError, read_edge_arrays, write_edge_list
 from .graph import (DuplicateEdgeError, GraphError, count_triangles_exact,
-                    triangle_stats, _dense_eligible, _extent, _vertex_range)
+                    triangle_stats, _dense_eligible, _extent, _vertex_slots)
 from .stream import Order, open_stream, order_rng, bench_seed
 from .estimators import (Algorithm, choose_p_alg1, choose_p_alg2,
                          choose_repetitions, alg1_two_pass,
@@ -126,7 +126,7 @@ def _cmd_gen(args):
 
 def _cmd_exact(args):
     U, V = read_edge_arrays(args.input)
-    n = _vertex_range(U, V)[0]
+    n = _vertex_slots(U, V)[0]
     if args.stats:
         st = triangle_stats((U, V))
         print('{"n": %d, "m": %d, "t": %d, "J": %d, "K": %d}'
@@ -255,7 +255,9 @@ def _predict_oracle_seconds(g):
     nmax, m = _extent(g)
     if _dense_eligible(nmax, m):
         return nmax ** 3 / 5e9
-    return m ** 1.5 / 2e7
+    # fitted to the kernel's slowest case per m^1.5, a near-clique past the
+    # dense path: K_2049 took 60 s (predicted: 63 s) on a 2-core host
+    return m ** 1.5 / 4.8e7
 
 
 def _cmd_bench(args):
@@ -265,7 +267,7 @@ def _cmd_bench(args):
         raise ParamError("--trials must be positive, got %d" % args.trials)
     if args.input is not None:
         U, V = read_edge_arrays(args.input)
-        n = _vertex_range(U, V)[0]
+        n = _vertex_slots(U, V)[0]
     else:
         graph = _parse_gen_spec(args.gen)
         U, V = graph.edge_arrays()

@@ -30,13 +30,6 @@ _BLOCK_BYTES = 1 << 18
 # longest id the numpy path parses; every 18-digit number fits in int64
 _FAST_DIGITS = 18
 
-# byte classes of the numpy path; any byte not listed is _OTHER
-_OTHER, _DIGIT, _BLANK, _NEWLINE = 0, 1, 2, 3
-_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
-_BYTE_CLASS[ord("0"):ord("9") + 1] = _DIGIT
-_BYTE_CLASS[[ord(" "), ord("\t"), ord("\r")]] = _BLANK
-_BYTE_CLASS[ord("\n")] = _NEWLINE
-
 
 class EdgeListParseError(ValueError):
     def __init__(self, message, lineno=None):
@@ -74,14 +67,26 @@ def _parse_fast(buf):
     """Edges of a block parsed by numpy, or None when the block needs the
     line parser.  Returns (U, V, line): the canonical endpoints of each
     edge and the index of its line in the block."""
-    cls = _BYTE_CLASS[np.frombuffer(buf, dtype=np.uint8)]
-    if not cls.all():  # some byte is _OTHER
+    b = np.frombuffer(buf, dtype=np.uint8)
+    digit = b - ord("0") < 10  # uint8 wraps below '0'
+    newline = b == ord("\n")
+    # in place, so that fewer block-sized temporaries raise the parse's peak
+    ok = digit | newline
+    for blank in b" \t\r":
+        ok |= b == blank
+    if not ok.all():
         return None
-    step = np.diff((cls == _DIGIT).view(np.int8), prepend=0, append=0)
-    first = np.flatnonzero(step == 1)
-    if (np.flatnonzero(step == -1) - first).max(initial=0) > _FAST_DIGITS:
+    del ok
+    # digit runs start and stop where `digit` flips, and at the ends
+    flips = np.flatnonzero(digit[1:] != digit[:-1]) + 1
+    if digit[:1].any():
+        flips = np.concatenate(([0], flips))
+    if digit[-1:].any():
+        flips = np.append(flips, b.size)
+    first = flips[0::2]
+    if (flips[1::2] - first).max(initial=0) > _FAST_DIGITS:
         return None
-    newlines = np.flatnonzero(cls == _NEWLINE)
+    newlines = np.flatnonzero(newline)
     tok_line = np.searchsorted(newlines, first)
     tokens = np.bincount(tok_line, minlength=newlines.size + 1)
     if ((tokens != 0) & (tokens != 2)).any():

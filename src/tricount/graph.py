@@ -2,12 +2,13 @@
 
 The graphs here are the ground truth side of the toolkit: everything the
 sampling estimators claim is checked against these routines.  Counting
-intersects id-ordered forward neighbor sets, fwd[a] = {b in N(a) : b > a}:
-`set & set` walks the smaller set, so an edge (a, b) costs at most
-min(d_a, d_b), and that sum over all edges is O(m^{3/2}) (Chiba and
-Nishizeki 1985), practical up to a few million edges.  Dense graphs with
-small vertex ranges additionally get a BLAS matrix path that computes the
-same count, census and heavy/light split much faster.
+runs one batched numpy kernel, `_triangles`, over id-ordered forward
+lists fwd[a] = {b in N(a) : b > a}.  Its cost is the sum, over the edges
+(a, b) it keeps, of the shorter of fwd[b] and fwd[a] past b: at most
+min(d_a, d_b) an edge, so O(m^{3/2}) (Chiba and Nishizeki 1985), and far
+less where the id order prunes most edges.  Dense graphs with small
+vertex ranges instead get a BLAS matrix path that computes the same
+count, census and heavy/light split much faster.
 
 An AdjacencyGraph is its canonical edge arrays (U, V): U[i] < V[i],
 sorted, no edge twice.  Its neighbour-set dict is only built for callers
@@ -15,6 +16,8 @@ that query neighbours or add edges.  The counts read canonical (U, V)
 pairs only, a graph's own or one such as `edgelist.read_edge_arrays`
 returns, so a file is counted without building a graph.
 """
+
+import itertools
 
 import numpy as np
 
@@ -75,14 +78,24 @@ def _check_edges(U, V):
     return lo, hi, order
 
 
-def _vertex_range(*ids):
-    """(count, largest) of the distinct ids in the int64 arrays `ids`, or
-    (0, None); one sort and a neighbour compare beat np.unique's hashing."""
+def _vertex_slots(*ids):
+    """(n, f) for the n distinct ids in the int64 arrays `ids`.  The slots
+    number them 0..n-1 in id order; f maps an id array to its slots by
+    searchsorted, or is None when the ids are exactly 0..n-1 and so their
+    own slots, which a presence table settles without a sort."""
     ids = np.concatenate(ids)
     if not ids.size:
         return 0, None
+    top = int(ids.max())
+    if top < ids.size and ids.min() == 0:
+        seen = np.zeros(top + 1, dtype=bool)
+        seen[ids] = True
+        if seen.all():
+            return top + 1, None
+    # a sort and a neighbour compare beat np.unique's hashing
     ids.sort()
-    return int(np.count_nonzero(ids[1:] != ids[:-1])) + 1, int(ids[-1])
+    ids = ids[np.concatenate(([True], ids[1:] != ids[:-1]))]
+    return ids.size, ids.searchsorted
 
 
 def _id_arrays(*arrays, copy=False):
@@ -128,7 +141,7 @@ class AdjacencyGraph:
             raise GraphError("vertex ids must be non-negative, got %d"
                              % ids[(ids < 0).argmax()])
         lo, hi, order = _check_edges(*_pair_arrays(edges))
-        self._hold(lo[order], hi[order], _vertex_range(lo, hi, ids)[0], ids)
+        self._hold(lo[order], hi[order], _vertex_slots(lo, hi, ids)[0], ids)
 
     @classmethod
     def _of_arrays(cls, U, V, n, vertices=()):
@@ -302,31 +315,64 @@ def _dense_two_light(g, light):
     return t_light + int(round(float(a.sum(dtype=np.float64)))) // 2
 
 
-def _forward_sets(g):
-    """fwd[a] = {b in N(a) : b > a} for every vertex a with a higher
-    neighbour, built from a canonical (U, V) pair."""
-    fwd = {}
-    for a, b in zip(g[0].tolist(), g[1].tolist()):
-        fa = fwd.get(a)
-        if fa is None:
-            fwd[a] = {b}
-        else:
-            fa.add(b)
-    return fwd
+# wedge probes per batch of `_triangles`, which bounds its temporary
+# arrays at a few tens of MB whatever the graph
+_PROBE_BATCH = 1 << 20
 
 
-def _triangle_walk(fwd):
-    """Yield (a, b, common) for each edge a < b on some triangle, where
-    common is the set of its third vertices c > b.  Every triangle
-    a < b < c comes out once, at its edge (a, b), with its edges (a, b),
-    (a, c) and (b, c) canonical."""
-    empty = frozenset()
-    get = fwd.get
-    for a, fa in fwd.items():
-        for b in fa:
-            common = fa & get(b, empty)
-            if common:
-                yield a, b, common
+def _triangles(U, V):
+    """Yield the triangles of the canonical distinct edges (U[i], V[i]), in
+    any order, in batches (ab, ac, bc) of index arrays into U and V: the
+    edges (a, b), (a, c) and (b, c) of triangles a < b < c, each once.
+
+    The edges sort into forward lists held as the keys a*n + b of vertex
+    slots (so n < 3e9).  An edge (a, b) can be a triangle's lowest edge
+    only when fwd[a] goes on past b and fwd[b] is not empty; each such edge
+    probes the shorter of the two, every c past b in fwd[a] for the key
+    b*n + c or every c in fwd[b] for a*n + c, by searchsorted."""
+    n, f = _vertex_slots(U, V)
+    A, B = (U, V) if f is None else (f(U), f(V))
+    key = A * n + B
+    order = None
+    if not (key[1:] > key[:-1]).all():  # a graph's own edges come sorted
+        order = np.argsort(key)
+        key, A, B = key[order], A[order], B[order]
+    deg = np.bincount(A, minlength=n)
+    end = np.cumsum(deg)
+    past = end[A] - np.arange(U.size) - 1
+    fwd_b = deg[B]
+    lo = np.flatnonzero((past > 0) & (fwd_b > 0))
+    on_a = past[lo] <= fwd_b[lo]
+    a, b = lo[on_a], lo[~on_a]
+    # a key past every probe ends the keys, so a probe's place is an index
+    key = np.append(key, _INT64_MAX)
+    # edges a probe fwd[a] past b for (b, c), edges b probe fwd[b] for (a, c)
+    sides = (a, a + 1, past[a], B[a]), (b, end[B[b]] - fwd_b[b], fwd_b[b], A[b])
+    for flip, (e, first, cost, other) in enumerate(sides):
+        for ab, src, hit in _probe(key, B, e, first, cost, other * n):
+            tri = (ab, hit, src) if flip else (ab, src, hit)
+            yield tri if order is None else tuple(order[x] for x in tri)
+
+
+def _probe(key, B, e, first, cost, other):
+    """Yield, in batches of about _PROBE_BATCH lookups, (e, src, hit) for
+    each lookup that finds its key: edge e[i] looks up other[i] + B[s] for
+    the cost[i] sorted edge indices s = first[i], first[i] + 1, ...; src
+    is that s, and key[hit] the key found."""
+    done = np.cumsum(cost)
+    i = 0
+    while i < e.size:
+        j = max(int(np.searchsorted(done, done[i] - cost[i] + _PROBE_BATCH, "right")), i + 1)
+        c = cost[i:j]
+        src = np.repeat(first[i:j] - (np.cumsum(c) - c), c)
+        src += np.arange(src.size)
+        probe = np.repeat(other[i:j], c)
+        probe += B[src]
+        hit = np.searchsorted(key, probe)
+        got = key[hit] == probe
+        tri = np.repeat(e[i:j], c), src, hit
+        yield tri if got.all() else tuple(x[got] for x in tri)
+        i = j
 
 
 def count_triangles_exact(g):
@@ -335,7 +381,7 @@ def count_triangles_exact(g):
     nmax, m = _extent(g)
     if _dense_eligible(nmax, m):
         return _dense_triangle_count(g)
-    return sum(len(common) for _, _, common in _triangle_walk(_forward_sets(g)))
+    return sum(ab.size for ab, _, _ in _triangles(*g))
 
 
 def triangle_stats(g):
@@ -345,22 +391,18 @@ def triangle_stats(g):
     g = _pair(g)
     if _dense_eligible(*_extent(g)):
         return _dense_stats(g)
-    per_edge = {}
-    per_vertex = {}
-    t = 0
-    for a, b, common in _triangle_walk(_forward_sets(g)):
-        k = len(common)
-        t += k
-        per_edge[a, b] = per_edge.get((a, b), 0) + k
-        per_vertex[a] = per_vertex.get(a, 0) + k
-        per_vertex[b] = per_vertex.get(b, 0) + k
-        for c in common:
-            per_edge[a, c] = per_edge.get((a, c), 0) + 1
-            per_edge[b, c] = per_edge.get((b, c), 0) + 1
-            per_vertex[c] = per_vertex.get(c, 0) + 1
-    J = max(per_edge.values(), default=0)
-    K = max(per_vertex.values(), default=0)
-    return TriangleStats(t, per_edge, J, K)
+    U, V = g
+    count = np.zeros(U.size, dtype=np.int64)
+    for tri in _triangles(U, V):
+        count += np.bincount(np.concatenate(tri), minlength=U.size)
+    on = np.flatnonzero(count)
+    per_edge = dict(zip(zip(U[on].tolist(), V[on].tolist()), count[on].tolist()))
+    # a vertex's triangles are half the sum of its edges' triangles
+    ends = np.concatenate((U[on], V[on]))
+    f = _vertex_slots(ends)[1]
+    at_vertex = np.bincount(ends if f is None else f(ends), weights=np.tile(count[on], 2))
+    K = int(at_vertex.max(initial=0)) // 2
+    return TriangleStats(int(count.sum()) // 3, per_edge, int(count.max(initial=0)), K)
 
 
 def classify_edges(g, epsilon, stats=None):
@@ -379,22 +421,16 @@ def classify_edges(g, epsilon, stats=None):
     if t <= 0:
         raise GraphError("edge classification needs a graph with at least one triangle")
     threshold = 3.0 * (t / epsilon) ** 0.5
-    heavy = set()
-    light = set()
     per_edge = stats.per_edge
-    for e in zip(g[0].tolist(), g[1].tolist()):
-        if per_edge.get(e, 0) > threshold:
-            heavy.add(e)
-        else:
-            light.add(e)
+    edges = list(zip(g[0].tolist(), g[1].tolist()))
+    is_light = [per_edge.get(e, 0) <= threshold for e in edges]
+    light = frozenset(itertools.compress(edges, is_light))
+    heavy = frozenset(edges) - light
     # triangles with at least two light edges
     if _dense_eligible(*_extent(g)):
         s_count = _dense_two_light(g, light)
     else:
-        s_count = 0
-        for a, b, common in _triangle_walk(_forward_sets(g)):
-            for c in common:
-                n_light = ((a, b) in light) + ((a, c) in light) + ((b, c) in light)
-                if n_light >= 2:
-                    s_count += 1
-    return EdgePartition(frozenset(heavy), frozenset(light), threshold, s_count)
+        is_light = np.array(is_light, dtype=np.int8)
+        s_count = sum(int(np.count_nonzero(is_light[ab] + is_light[ac] + is_light[bc] >= 2))
+                      for ab, ac, bc in _triangles(*g))
+    return EdgePartition(heavy, light, threshold, s_count)

@@ -18,9 +18,11 @@ unseen: the pass yields the parsed edges.
 The estimators count on vertex slots, the stream's n vertices numbered
 0..n-1 in id order, mapped once per stream when first asked for.  Ids the
 stream knows to be exactly 0..n-1, as a scanned generator graph's are,
-are their own slots.  Otherwise one extra pass sorts the distinct ids and
-keeps them (8 bytes per vertex), and an id's slot is its place among
-them; this also numbers the negative ids an unvalidated stream may carry.
+are their own slots.  Otherwise one extra pass hands every id to
+`graph._vertex_slots`, which the exact counts share: ids 0..n-1 are found
+to be their own slots without a sort, and other ids are sorted and kept
+(8 bytes per vertex), an id's slot being its place among them; this also
+numbers the negative ids an unvalidated stream may carry.
 The passes still yield ids.
 
 Randomness is split by purpose.  The permutation, the sampling coins and
@@ -35,7 +37,7 @@ import os
 import numpy as np
 
 from .graph import (AdjacencyGraph, _check_edges, _id_arrays, _pair_arrays,
-                    _vertex_range)
+                    _vertex_slots)
 from .edgelist import read_edge_arrays
 
 
@@ -117,7 +119,8 @@ class _MemorySource:
     def scan(self):
         if not self.distinct:
             _check_edges(self.U, self.V)
-        return _vertex_range(self.U, self.V)
+        n = _vertex_slots(self.U, self.V)[0]
+        return n, (int(max(self.U.max(), self.V.max())) if n else None)
 
 
 class _FileSource(_MemorySource):
@@ -222,18 +225,12 @@ class EdgeStream:
     def _slot_map(self):
         """(n, f): f maps an id array to its vertex slots, or is None when
         every id is its own slot.  Built on first use, by one extra pass
-        that sorts the distinct ids unless the stream knows its n ids and
-        the largest is n-1."""
+        that hands every id to `graph._vertex_slots`, unless the stream
+        knows its n ids and the largest is n-1."""
         if self._slots is None:
             n, f = self.n, None
             if self.m and (n is None or n != self.max_vertex_id + 1):
-                # a sort and a neighbour compare beat np.unique's hashing
-                ids = np.concatenate([X for UV in self.iter_chunks() for X in UV])
-                ids.sort()
-                ids = ids[np.concatenate(([True], ids[1:] != ids[:-1]))]
-                n = ids.size
-                if ids[0] != 0 or ids[-1] != n - 1:
-                    f = ids.searchsorted
+                n, f = _vertex_slots(*[X for UV in self.iter_chunks() for X in UV])
             self._slots = n or 0, f
         return self._slots
 

@@ -51,6 +51,14 @@ def brute_stats(edges):
     return t, per_edge, per_vertex, J, K
 
 
+def brute_triangle_edges(edges):
+    """The edges ((a, b), (a, c), (b, c)) of every triangle a < b < c, by
+    triple enumeration."""
+    adj = _adj_from_edges(edges)
+    return [((a, b), (a, c), (b, c)) for a, b, c in itertools.combinations(sorted(adj), 3)
+            if b in adj[a] and c in adj[a] and c in adj[b]]
+
+
 def brute_two_light(edges, light):
     """Triangles with at least two of their edges in `light`, a set of
     (min, max) pairs, by triple enumeration."""

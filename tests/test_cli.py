@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from tricount import cli
@@ -132,7 +133,7 @@ def test_exact(k4_file):
 
 def test_exact_on_sparse_ids_matches_oracle(tmp_path):
     # a hub on ids past the dense limit, each hub edge written (hub, leaf),
-    # so the count walks the forward sets of the parsed arrays
+    # so the kernel counts the parsed arrays in file order, unsorted
     leaves = range(5000, 5030)
     edges = [(10 ** 6, v) for v in leaves] + [(v, v + 1) for v in leaves[:-1]]
     edges += [(v, v + 2) for v in leaves[:-2:2]]
@@ -366,6 +367,13 @@ def test_bench_oracle_budget(planted_file):
                 "--oracle-budget", "0.0000001")
     assert r.returncode == 2
     assert "budget" in r.stderr
+
+
+def test_bench_oracle_budget_admits_two_million_edges():
+    # the kernel counts the 2M-edge planted file in a fraction of a second,
+    # so the default budget of 60 s must let a sparse graph of 2M edges by
+    star = (np.zeros(2_000_000, dtype=np.int64), np.arange(1, 2_000_001, dtype=np.int64))
+    assert cli._predict_oracle_seconds(star) < 60
 
 
 def test_bench_needs_one_input(planted_file):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -247,3 +249,41 @@ def test_passes_concatenate_to_reference(tmp_path_factory, case, block):
         assert read_edge_list(f) == edges
     finally:
         edgelist._BLOCK_BYTES = old
+
+
+def fuzz_block(rng):
+    """Random block text: one to four lines of zero to three ids of 1 to 19
+    digits between runs of blanks, and now and then a byte the numpy path
+    must refuse in place of one of its bytes."""
+    lines = []
+    for _ in range(rng.randint(1, 4)):
+        ids = ["".join(rng.choice("0123456789")
+                       for _ in range(rng.choice((1, 1, 1, 1, 2, 2, 3, 5, 18, 19))))
+               for _ in range(rng.choice((0, 1, 2, 2, 2, 2, 2, 2, 2, 3)))]
+        line = "".join(rng.choice(" \t\r") for _ in range(rng.randint(0, 2)))
+        for i, x in enumerate(ids):
+            line += "".join(rng.choice(" \t\r") for _ in range(rng.randint(i > 0, 2))) + x
+        lines.append(line + "".join(rng.choice(" \t\r") for _ in range(rng.randint(0, 2))))
+    buf = bytearray("\n".join(lines) + rng.choice(("", "\n")), "ascii")
+    if buf and rng.random() < 0.1:
+        buf[rng.randrange(len(buf))] = rng.choice(b"-+#a/:\x00\xff")
+    return bytes(buf)
+
+
+def test_fast_parser_agrees_with_the_line_parser():
+    # whenever the numpy path takes a block, it gives the edges and line
+    # indices that parse_edge_line gives on the block's lines
+    rng = random.Random(17)
+    taken = 0
+    for _ in range(20000):
+        buf = fuzz_block(rng)
+        got = edgelist._parse_fast(buf)
+        if got is None:
+            continue
+        taken += 1
+        want = [(e, i) for i, e in enumerate(parse_edge_line(line.decode("ascii"), i + 1)
+                                             for i, line in enumerate(buf.split(b"\n")))
+                if e is not None]
+        U, V, line = got
+        assert list(zip(zip(U.tolist(), V.tolist()), line.tolist())) == want, buf
+    assert taken >= 5000

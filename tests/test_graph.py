@@ -1,12 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tricount import (AdjacencyGraph, GraphError, DuplicateEdgeError, open_stream,
                       canonical_edge, count_triangles_exact, triangle_stats,
-                      classify_edges, gen_complete, graph)
+                      classify_edges, gen_complete, generators, graph)
 from tricount.graph import _dense_triangle_count, _dense_eligible, _extent
 
 from conftest import path_graph
@@ -62,15 +63,17 @@ def test_count_petersen():
 
 
 def test_count_matches_brute_force_small():
+    # and gen_planted's own walk
     for seed in range(40):
         edges = random_graph(8, 0.45, seed)
         g = AdjacencyGraph(edges)
-        assert count_triangles_exact(g) == oracles.brute_triangles(edges), seed
+        want = oracles.brute_triangles(edges)
+        assert count_triangles_exact(g) == generators._walk_count(*g.edge_arrays()) == want, seed
 
 
-def force_walk(mp):
-    """Send count_triangles_exact, triangle_stats and classify_edges down
-    the set walk on any input."""
+def force_kernel(mp):
+    """Send count_triangles_exact, triangle_stats and classify_edges to
+    the wedge-probe kernel on any input, past the dense matrix path."""
     mp.setattr(graph, "_dense_eligible", lambda nmax, m: False)
 
 
@@ -83,12 +86,12 @@ def test_dense_and_sparse_paths_agree(monkeypatch):
         assert _dense_triangle_count(g.edge_arrays()) == want
         assert count_triangles_exact(g) == want
         with monkeypatch.context() as mp:
-            force_walk(mp)
+            force_kernel(mp)
             assert count_triangles_exact(g) == want
             assert count_triangles_exact(g.edge_arrays()) == want
 
 
-def test_dense_and_walk_stats_agree():
+def test_dense_and_kernel_stats_agree():
     # K_n, and a random graph just past the dense fill of 1/32
     for edges in (gen_complete(30).edges(), random_graph(300, 0.08, 7)):
         g = AdjacencyGraph(edges)
@@ -96,15 +99,15 @@ def test_dense_and_walk_stats_agree():
         for source in (g, g.edge_arrays()):
             dense = triangle_stats(source)
             with pytest.MonkeyPatch.context() as mp:
-                force_walk(mp)
-                walk = triangle_stats(source)
-            assert dense.t == walk.t == count_triangles_exact(g)
-            assert dense.per_edge == walk.per_edge
-            assert (dense.J, dense.K) == (walk.J, walk.K)
+                force_kernel(mp)
+                kernel = triangle_stats(source)
+            assert dense.t == kernel.t == count_triangles_exact(g)
+            assert dense.per_edge == kernel.per_edge
+            assert (dense.J, dense.K) == (kernel.J, kernel.K)
             assert all(type(k) is int for k in dense.per_edge.values())
 
 
-def test_dense_and_walk_classify_agree():
+def test_dense_and_kernel_classify_agree():
     # two 60-page books with spines (0, 1) and (0, 2) on the same pages,
     # plus five chords between pages: the spines turn heavy at eps = 0.4,
     # and the chords close all-light triangles; dense, at 183 edges on 63 ids
@@ -116,11 +119,11 @@ def test_dense_and_walk_classify_agree():
     for source in (g, g.edge_arrays()):
         dense = classify_edges(source, 0.4)
         with pytest.MonkeyPatch.context() as mp:
-            force_walk(mp)
-            walk = classify_edges(source, 0.4)
-        assert dense.heavy == walk.heavy == {(0, 1), (0, 2)}
-        assert dense.light == walk.light
-        assert (dense.two_light_triangle_count == walk.two_light_triangle_count
+            force_kernel(mp)
+            kernel = classify_edges(source, 0.4)
+        assert dense.heavy == kernel.heavy == {(0, 1), (0, 2)}
+        assert dense.light == kernel.light
+        assert (dense.two_light_triangle_count == kernel.two_light_triangle_count
                 == oracles.brute_two_light(edges, dense.light) == 135)
 
 
@@ -192,17 +195,33 @@ def test_classify_partition_and_bounds():
             assert part.two_light_triangle_count >= (1 - eps) * st.t
 
 
-def check_against_oracles(edges):
-    """Every exact count of `edges`, as a graph and as its canonical arrays,
-    on the path the input picks and on the forced walk, and the heavy/light
-    split of both forms at three epsilons, against tests/oracles.py."""
-    t, per_edge, _, J, K = oracles.brute_stats(edges)
+def exact_sources(edges):
+    """`edges` as a graph, as its sorted canonical arrays, and as canonical
+    arrays in the order of `edges`, as a file lists them."""
     g = AdjacencyGraph(edges)
-    for source in (g, g.edge_arrays()):
-        for walk in (False, True):
+    U = np.array([min(e) for e in edges], dtype=np.int64)
+    V = np.array([max(e) for e in edges], dtype=np.int64)
+    return g, (g, g.edge_arrays(), (U, V))
+
+
+def check_against_oracles(edges):
+    """The kernel's triangles and every exact count of `edges`, in each
+    form of `exact_sources`, on the path the input picks and on the forced
+    kernel, and the heavy/light split of each form at three epsilons,
+    against tests/oracles.py."""
+    t, per_edge, _, J, K = oracles.brute_stats(edges)
+    g, sources = exact_sources(edges)
+    # the kernel's own output: each triangle once, its edges in order
+    for U, V in sources[1:]:
+        ends = list(zip(U.tolist(), V.tolist()))
+        got = [tuple(ends[i] for i in tri) for batch in graph._triangles(U, V)
+               for tri in zip(*(x.tolist() for x in batch))]
+        assert sorted(got) == sorted(oracles.brute_triangle_edges(edges))
+    for source in sources:
+        for kernel in (False, True):
             with pytest.MonkeyPatch.context() as mp:
-                if walk:
-                    force_walk(mp)
+                if kernel:
+                    force_kernel(mp)
                 assert count_triangles_exact(source) == t
                 stats = triangle_stats(source)
             assert (stats.t, stats.J, stats.K) == (t, J, K)
@@ -211,11 +230,11 @@ def check_against_oracles(edges):
         return
     for eps in (0.1, 0.25, 0.4):
         light = {e for e in g.edges() if per_edge.get(e, 0) <= 3.0 * (t / eps) ** 0.5}
-        for source in (g, g.edge_arrays()):
-            for walk in (False, True):
+        for source in sources:
+            for kernel in (False, True):
                 with pytest.MonkeyPatch.context() as mp:
-                    if walk:
-                        force_walk(mp)
+                    if kernel:
+                        force_kernel(mp)
                     part = classify_edges(source, eps)
                 assert part.light == light
                 assert part.heavy == set(g.edges()) - light
@@ -254,6 +273,56 @@ def test_exact_counts_match_oracles_on_a_hub(hub):
     edges += [(v, v + 2) for v in leaves[:-2:2]]
     assert not _dense_eligible(*_extent(AdjacencyGraph(edges).edge_arrays()))
     check_against_oracles(edges)
+
+
+@st.composite
+def graphs_on_wide_ids(draw):
+    """Up to 40 random edges, in random order and orientation, among up to
+    12 ids drawn from 0..2^62, so that they are not 0..n-1."""
+    ids = draw(st.lists(st.integers(0, 2 ** 62), min_size=2, max_size=12, unique=True))
+    return draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids))
+                         .filter(lambda e: e[0] != e[1]),
+                         unique_by=lambda e: (min(e), max(e)), max_size=40))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs_on_wide_ids())
+def test_exact_counts_match_oracles_on_wide_ids(edges):
+    check_against_oracles(edges)
+
+
+def test_exact_counts_match_oracles_without_triangles():
+    # empty, a path, the Petersen graph, and K_{3,3} on ids far apart
+    wide = [(u * 2 ** 60, v * 2 ** 60 + 1) for u in range(3) for v in range(3)]
+    for edges in ([], [(0, 1), (1, 2)], oracles.petersen_edges(), wide):
+        check_against_oracles(edges)
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+def test_kernel_batches_split_the_probes(batch):
+    # a book of 30 pages on the spine (10^6, 10^6 + 1), its pages chained
+    # by chords: the spine alone probes 30 pages, more than a batch
+    spine = 10 ** 6
+    pages = range(spine + 2, spine + 32)
+    edges = [(spine, spine + 1)] + [(s, v) for v in pages for s in (spine, spine + 1)]
+    edges += [(v, v + 1) for v in pages[:-1]]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_PROBE_BATCH", batch)
+        batches = [ab.size for ab, _, _ in graph._triangles(*AdjacencyGraph(edges).edge_arrays())]
+        assert len(batches) > 2 and max(batches) >= 30 > batch
+        check_against_oracles(edges)
+
+
+def test_vertex_slots():
+    # ids 0..n-1, in any order and repeated, are their own slots
+    assert graph._vertex_slots(np.array([3, 0, 2, 1, 3, 0])) == (4, None)
+    assert graph._vertex_slots(np.array([], dtype=np.int64)) == (0, None)
+    # other ids map to their place among the distinct ids
+    for ids in ([5, 1, 5, 9], [-3, 0, 1, 2], [0, 2, 1, 4], [2 ** 62, 0, 7]):
+        n, f = graph._vertex_slots(np.array(ids))
+        distinct = sorted(set(ids))
+        assert n == len(distinct)
+        assert f(np.array(ids)).tolist() == [distinct.index(x) for x in ids]
 
 
 @st.composite
