@@ -18,7 +18,8 @@ import time
 
 from .edgelist import EdgeListParseError, read_edge_arrays, write_edge_list
 from .graph import (DuplicateEdgeError, GraphError, count_triangles_exact,
-                    triangle_stats, _dense_eligible, _extent, _vertex_slots)
+                    triangle_stats, _dense_eligible, _extent, _probe_count,
+                    _vertex_slots)
 from .stream import Order, open_stream, order_rng, bench_seed
 from .estimators import (Algorithm, choose_p_alg1, choose_p_alg2,
                          choose_repetitions, alg1_two_pass,
@@ -255,9 +256,10 @@ def _predict_oracle_seconds(g):
     nmax, m = _extent(g)
     if _dense_eligible(nmax, m):
         return nmax ** 3 / 5e9
-    # fitted to the kernel's slowest case per m^1.5, a near-clique past the
-    # dense path: K_2049 took 60 s (predicted: 63 s) on a 2-core host
-    return m ** 1.5 / 4.8e7
+    # 100 ns a lookup of the kernel and an edge, 1.3x the slowest rate seen
+    # on a 2-core host (77 ns); K_2049 plus one far edge, 1.4e9 lookups,
+    # took 60 s there, 76 s with other work running (predicted: 143 s)
+    return (m + _probe_count(*g)) / 1e7
 
 
 def _cmd_bench(args):

@@ -27,10 +27,11 @@ def _walk_count(U, V):
     gen_planted's graphs help test.
 
     It also keeps the blow-up benchmark's set-up, gen_planted(2000, 200),
-    at about 1.2-1.5 ms: the exact counter takes it under 1 ms, and a
+    at about 1-1.5 ms: the exact counter takes it to 0.7-0.9 ms, and a
     set-up shorter than a ninth of the untimed gc.collect() calls around
     it (~8-10 ms) never lets perfbench's Run._setup_due stop setting up
-    (ROADMAP item 1)."""
+    (ROADMAP item 1).  Once that is fixed, gen_planted checks itself with
+    count_triangles_exact and this goes."""
     fwd = {}
     for a, b in zip(U.tolist(), V.tolist()):
         fa = fwd.get(a)
@@ -48,7 +49,7 @@ def gen_planted(m, t_target, seed=0):
     t_target vertex-disjoint 3-cliques, then a random bipartite filler on
     fresh vertices for the remaining m - 3*t_target edges.  Bipartite
     filler is triangle-free and shares no vertex with the cliques, so the
-    count is exact by construction; we still verify it with the oracle.
+    count is exact by construction; we still re-count it, by `_walk_count`.
     """
     m = int(m)
     t_target = int(t_target)

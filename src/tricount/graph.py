@@ -79,10 +79,11 @@ def _check_edges(U, V):
 
 
 def _vertex_slots(*ids):
-    """(n, f) for the n distinct ids in the int64 arrays `ids`.  The slots
-    number them 0..n-1 in id order; f maps an id array to its slots by
-    searchsorted, or is None when the ids are exactly 0..n-1 and so their
-    own slots, which a presence table settles without a sort."""
+    """(n, distinct) for the n distinct ids in the int64 arrays `ids`.  The
+    slots number them 0..n-1 in id order: an id's slot is its place in the
+    sorted array `distinct`, found by `distinct.searchsorted`.  `distinct`
+    is None when the ids are exactly 0..n-1 and so their own slots, which
+    a presence table settles without a sort."""
     ids = np.concatenate(ids)
     if not ids.size:
         return 0, None
@@ -95,7 +96,7 @@ def _vertex_slots(*ids):
     # a sort and a neighbour compare beat np.unique's hashing
     ids.sort()
     ids = ids[np.concatenate(([True], ids[1:] != ids[:-1]))]
-    return ids.size, ids.searchsorted
+    return ids.size, ids
 
 
 def _id_arrays(*arrays, copy=False):
@@ -323,15 +324,26 @@ _PROBE_BATCH = 1 << 20
 def _triangles(U, V):
     """Yield the triangles of the canonical distinct edges (U[i], V[i]), in
     any order, in batches (ab, ac, bc) of index arrays into U and V: the
-    edges (a, b), (a, c) and (b, c) of triangles a < b < c, each once.
+    edges (a, b), (a, c) and (b, c) of triangles a < b < c, each once."""
+    key, B, order, sides = _wedge_plan(U, V)
+    for flip, side in enumerate(sides):
+        for ab, src, hit in _probe(key, B, *side):
+            tri = (ab, hit, src) if flip else (ab, src, hit)
+            yield tri if order is None else tuple(order[x] for x in tri)
+
+
+def _wedge_plan(U, V):
+    """The lookups `_triangles` makes: (key, B, order, sides), each side
+    (e, first, cost, other) as `_probe` takes it, and order the sort of
+    the edges into key order, or None when they come in it.
 
     The edges sort into forward lists held as the keys a*n + b of vertex
     slots (so n < 3e9).  An edge (a, b) can be a triangle's lowest edge
     only when fwd[a] goes on past b and fwd[b] is not empty; each such edge
     probes the shorter of the two, every c past b in fwd[a] for the key
     b*n + c or every c in fwd[b] for a*n + c, by searchsorted."""
-    n, f = _vertex_slots(U, V)
-    A, B = (U, V) if f is None else (f(U), f(V))
+    n, ids = _vertex_slots(U, V)
+    A, B = (U, V) if ids is None else (ids.searchsorted(U), ids.searchsorted(V))
     key = A * n + B
     order = None
     if not (key[1:] > key[:-1]).all():  # a graph's own edges come sorted
@@ -347,11 +359,14 @@ def _triangles(U, V):
     # a key past every probe ends the keys, so a probe's place is an index
     key = np.append(key, _INT64_MAX)
     # edges a probe fwd[a] past b for (b, c), edges b probe fwd[b] for (a, c)
-    sides = (a, a + 1, past[a], B[a]), (b, end[B[b]] - fwd_b[b], fwd_b[b], A[b])
-    for flip, (e, first, cost, other) in enumerate(sides):
-        for ab, src, hit in _probe(key, B, e, first, cost, other * n):
-            tri = (ab, hit, src) if flip else (ab, src, hit)
-            yield tri if order is None else tuple(order[x] for x in tri)
+    sides = ((a, a + 1, past[a], B[a] * n),
+             (b, end[B[b]] - fwd_b[b], fwd_b[b], A[b] * n))
+    return key, B, order, sides
+
+
+def _probe_count(U, V):
+    """How many lookups `_triangles` makes on the edges (U[i], V[i])."""
+    return sum(int(cost.sum()) for _, _, cost, _ in _wedge_plan(U, V)[3])
 
 
 def _probe(key, B, e, first, cost, other):
@@ -399,8 +414,9 @@ def triangle_stats(g):
     per_edge = dict(zip(zip(U[on].tolist(), V[on].tolist()), count[on].tolist()))
     # a vertex's triangles are half the sum of its edges' triangles
     ends = np.concatenate((U[on], V[on]))
-    f = _vertex_slots(ends)[1]
-    at_vertex = np.bincount(ends if f is None else f(ends), weights=np.tile(count[on], 2))
+    ids = _vertex_slots(ends)[1]
+    at_vertex = np.bincount(ends if ids is None else ids.searchsorted(ends),
+                            weights=np.tile(count[on], 2))
     K = int(at_vertex.max(initial=0)) // 2
     return TriangleStats(int(count.sum()) // 3, per_edge, int(count.max(initial=0)), K)
 

@@ -119,8 +119,10 @@ class _MemorySource:
     def scan(self):
         if not self.distinct:
             _check_edges(self.U, self.V)
-        n = _vertex_slots(self.U, self.V)[0]
-        return n, (int(max(self.U.max(), self.V.max())) if n else None)
+        n, ids = _vertex_slots(self.U, self.V)
+        if not n:
+            return 0, None
+        return n, n - 1 if ids is None else int(ids[-1])
 
 
 class _FileSource(_MemorySource):
@@ -230,7 +232,8 @@ class EdgeStream:
         if self._slots is None:
             n, f = self.n, None
             if self.m and (n is None or n != self.max_vertex_id + 1):
-                n, f = _vertex_slots(*[X for UV in self.iter_chunks() for X in UV])
+                n, ids = _vertex_slots(*[X for UV in self.iter_chunks() for X in UV])
+                f = None if ids is None else ids.searchsorted
             self._slots = n or 0, f
         return self._slots
 

@@ -313,16 +313,26 @@ def test_kernel_batches_split_the_probes(batch):
         check_against_oracles(edges)
 
 
+def test_probe_count_on_a_clique():
+    # off the dense path by one far edge, K_n's every lookup finds its key
+    # (edge (a, b) probes the n-1-b ids past b), so there are C(n, 3)
+    for n in (3, 4, 40):
+        U, V = gen_complete(n).edge_arrays()
+        U, V = np.append(U, 0), np.append(V, 10 ** 6)
+        assert graph._probe_count(U, V) == math.comb(n, 3) == count_triangles_exact((U, V))
+
+
 def test_vertex_slots():
     # ids 0..n-1, in any order and repeated, are their own slots
     assert graph._vertex_slots(np.array([3, 0, 2, 1, 3, 0])) == (4, None)
     assert graph._vertex_slots(np.array([], dtype=np.int64)) == (0, None)
     # other ids map to their place among the distinct ids
     for ids in ([5, 1, 5, 9], [-3, 0, 1, 2], [0, 2, 1, 4], [2 ** 62, 0, 7]):
-        n, f = graph._vertex_slots(np.array(ids))
-        distinct = sorted(set(ids))
-        assert n == len(distinct)
-        assert f(np.array(ids)).tolist() == [distinct.index(x) for x in ids]
+        n, distinct = graph._vertex_slots(np.array(ids))
+        assert n == len(set(ids))
+        assert distinct.tolist() == sorted(set(ids))
+        assert (distinct.searchsorted(np.array(ids)).tolist()
+                == [sorted(set(ids)).index(x) for x in ids])
 
 
 @st.composite
