@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 from .graph import (AdjacencyGraph, TriangleStats, EdgePartition, GraphError,
                     DuplicateEdgeError, canonical_edge, count_triangles_exact,
                     triangle_stats, classify_edges)
-from .edgelist import (EdgeListParseError, read_edge_list, write_edge_list,
-                       iter_edge_file)
+from .edgelist import EdgeListParseError, write_edge_list
 from .stream import (Order, EdgeStream, open_stream, order_rng, sampler_rng,
                      trial_rng, SourceChangedError)
 from .estimators import (Algorithm, EstimatorParams, EstimateReport,
@@ -28,7 +27,7 @@ __all__ = [
     "AdjacencyGraph", "TriangleStats", "EdgePartition", "GraphError",
     "DuplicateEdgeError", "canonical_edge", "count_triangles_exact",
     "triangle_stats", "classify_edges",
-    "EdgeListParseError", "read_edge_list", "write_edge_list", "iter_edge_file",
+    "EdgeListParseError", "write_edge_list",
     "Order", "EdgeStream", "open_stream", "order_rng", "sampler_rng",
     "trial_rng", "SourceChangedError",
     "Algorithm", "EstimatorParams", "EstimateReport",

@@ -62,6 +62,12 @@ def _parse_bits(s, name):
 # ---------------------------------------------------------------------------
 # gen
 
+def _shuffled(edges, seed):
+    """The edges in the order of the seed's permutation, as a list."""
+    edges = list(edges)
+    return [edges[i] for i in order_rng(seed).permutation(len(edges))]
+
+
 def _cmd_gen(args):
     kind = args.kind
     if kind == "planted":
@@ -84,9 +90,7 @@ def _cmd_gen(args):
         out = generators.blow_up(stream, args.T)
         edges = out.iter_edges()
         if args.shuffle is not None:
-            edges = list(edges)
-            perm = order_rng(args.shuffle).permutation(len(edges))
-            edges = [edges[i] for i in perm]
+            edges = _shuffled(edges, args.shuffle)
         m = write_edge_list(args.out, edges)
         n = out.n if out.n is not None else "?"
         t = None
@@ -113,8 +117,7 @@ def _cmd_gen(args):
 
     edges = g.edges()
     if args.shuffle is not None:
-        perm = order_rng(args.shuffle).permutation(len(edges))
-        edges = [edges[i] for i in perm]
+        edges = _shuffled(edges, args.shuffle)
     write_edge_list(args.out, edges)
     t = _summary_count(g.edge_arrays())
     print("wrote %s: n=%d m=%d%s" % (args.out, g.vertex_count, g.edge_count,
@@ -290,7 +293,7 @@ def _cmd_bench(args):
     elif sweep_key == "p":
         points = [(args.epsilon, v) for v in sweep_vals]
     else:
-        points = [(v, None if args.p is None else args.p) for v in sweep_vals]
+        points = [(v, args.p) for v in sweep_vals]
 
     def trial_stream(order, seed=0):
         # the arrays were checked above, and telling each stream their

@@ -169,13 +169,6 @@ def iter_edge_blocks(path):
                 raise err
 
 
-def iter_edge_file(path):
-    """Yield (edge, lineno) pairs from an edge list file, skipping
-    comments and blanks."""
-    for U, V, lineno in iter_edge_blocks(path):
-        yield from zip(zip(U.tolist(), V.tolist()), lineno.tolist())
-
-
 def _distinct_edges(blocks):
     """Concatenate (U, V, lineno) block arrays, emptying `blocks`; a
     repeated edge raises with the line of its first repeat.  Returns
@@ -202,12 +195,6 @@ def read_edge_arrays(path):
         _distinct_edges(blocks)  # a repeat above the bad line is reported first
         raise
     return _distinct_edges(blocks)
-
-
-def read_edge_list(path):
-    """Read a whole file into a list of canonical edges, rejecting duplicates."""
-    U, V = read_edge_arrays(path)
-    return list(zip(U.tolist(), V.tolist()))
 
 
 def write_edge_list(path, edges, comment=None):

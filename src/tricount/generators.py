@@ -87,7 +87,7 @@ def gen_complete(n):
     if n < 1:
         raise GeneratorError("n must be at least 1")
     U, V = np.triu_indices(n, 1)
-    return AdjacencyGraph._of_arrays(U, V, n, range(n))
+    return AdjacencyGraph._of_arrays(U, V, n)
 
 
 def gen_tripartite(a, b, c):
@@ -178,7 +178,7 @@ def gen_disjointness(x, y, T):
     V = np.concatenate((np.tile(B, ya.size), np.tile(C, xa.size), np.tile(C, sq)))
     order = np.lexsort((V, U))
     n = n_len + 2 * sq
-    return AdjacencyGraph._of_arrays(U[order], V[order], n, range(n))
+    return AdjacencyGraph._of_arrays(U[order], V[order], n)
 
 
 def gen_disjointness_random(n_len, T, intersecting, seed=0):

@@ -10,11 +10,11 @@ less where the id order prunes most edges.  Dense graphs with small
 vertex ranges instead get a BLAS matrix path that computes the same
 count, census and heavy/light split much faster.
 
-An AdjacencyGraph is its canonical edge arrays (U, V): U[i] < V[i],
-sorted, no edge twice.  Its neighbour-set dict is only built for callers
-that query neighbours or add edges.  The counts read canonical (U, V)
-pairs only, a graph's own or one such as `edgelist.read_edge_arrays`
-returns, so a file is counted without building a graph.
+An AdjacencyGraph is an immutable value of its canonical edge arrays
+(U, V): U[i] < V[i], sorted, no edge twice, read-only.  The counts read
+canonical (U, V) pairs only, a graph's own or one such as
+`edgelist.read_edge_arrays` returns, so a file is counted without
+building a graph.
 """
 
 import itertools
@@ -125,77 +125,33 @@ def _pair_arrays(pairs):
 class AdjacencyGraph:
     """Simple undirected graph held as its canonical edge arrays: int64
     (U, V) with U[i] < V[i], sorted, read-only, which the exact counts
-    read directly.  `vertex_count` also counts the isolated vertices
-    declared through `vertices`.  The dict of neighbour sets behind
-    `neighbors`, `has_edge`, `degree`, `vertices` and `add_edge` is built
-    on the first such call; `add_edge` keeps it and the arrays in step.
+    read directly.  `vertex_count` is the n a generator builds the graph
+    with, or else the number of distinct edge ends.
 
     Duplicate edges are an error, not silently dropped: every input model
     in this package streams distinct edges, so a repeat means the input is
-    broken.  The constructor checks all edges at once and raises the error
-    `add_edge` would raise at the first offending edge in input order.
+    broken.  The constructor checks all edges at once and raises at the
+    first negative id, self-loop or repeat in input order.
     """
 
-    def __init__(self, edges=(), vertices=()):
-        ids, = _id_arrays(list(vertices))
-        if (ids < 0).any():
-            raise GraphError("vertex ids must be non-negative, got %d"
-                             % ids[(ids < 0).argmax()])
+    def __init__(self, edges=()):
         lo, hi, order = _check_edges(*_pair_arrays(edges))
-        self._hold(lo[order], hi[order], _vertex_slots(lo, hi, ids)[0], ids)
+        self._hold(lo[order], hi[order], _vertex_slots(lo, hi)[0])
 
     @classmethod
-    def _of_arrays(cls, U, V, n, vertices=()):
-        """The graph of n vertices, `vertices` among them, whose edges
-        are the canonical sorted distinct arrays (U, V), taken unchecked."""
+    def _of_arrays(cls, U, V, n):
+        """The graph of n vertices whose edges are the canonical sorted
+        distinct arrays (U, V), taken unchecked."""
         g = cls.__new__(cls)
-        g._hold(U, V, n, vertices)
+        g._hold(U, V, n)
         return g
 
-    def _hold(self, U, V, n, vertices, adj=None):
+    def _hold(self, U, V, n):
         U.setflags(write=False)
         V.setflags(write=False)
         self._U, self._V = U, V
         self.edge_count = int(U.size)
         self.vertex_count = int(n)
-        self._declared = vertices
-        self._adj = adj
-
-    def _sets(self):
-        if self._adj is None:
-            adj = {v: set() for v in np.asarray(self._declared).tolist()}
-            for u, v in zip(self._U.tolist(), self._V.tolist()):
-                adj.setdefault(u, set()).add(v)
-                adj.setdefault(v, set()).add(u)
-            self._adj = adj
-        return self._adj
-
-    def add_edge(self, u, v):
-        u, v = canonical_edge(u, v)
-        adj = self._sets()
-        nbrs = adj.setdefault(u, set())
-        if v in nbrs:
-            raise DuplicateEdgeError("duplicate edge (%d, %d)" % (u, v))
-        nbrs.add(v)
-        adj.setdefault(v, set()).add(u)
-        lo = np.searchsorted(self._U, u)
-        hi = np.searchsorted(self._U, u, side="right")
-        k = lo + np.searchsorted(self._V[lo:hi], v)
-        self._hold(np.insert(self._U, k, u), np.insert(self._V, k, v), len(adj),
-                   self._declared, adj)
-
-    def has_edge(self, u, v):
-        u, v = canonical_edge(u, v)
-        return v in self._sets().get(u, ())
-
-    def neighbors(self, v):
-        return self._sets().get(int(v), set())
-
-    def degree(self, v):
-        return len(self._sets().get(int(v), ()))
-
-    def vertices(self):
-        return sorted(self._sets())
 
     def edges(self):
         """All edges as canonical pairs, sorted for deterministic output."""
@@ -204,9 +160,6 @@ class AdjacencyGraph:
     def edge_arrays(self):
         """Edges as two read-only int64 arrays (canonical, sorted)."""
         return self._U, self._V
-
-    def __contains__(self, v):
-        return int(v) in self._sets()
 
     def __repr__(self):
         return "AdjacencyGraph(n=%d, m=%d)" % (self.vertex_count, self.edge_count)

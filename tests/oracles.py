@@ -21,6 +21,24 @@ def _adj_from_edges(edges):
     return adj
 
 
+def first_edge_fault(edges):
+    """The first edge in input order that a graph must refuse, as
+    (kind, message) with the library's message: ("invalid", ...) for a
+    negative id or a self-loop, ("duplicate", ...) for a repeat of an
+    earlier edge in either orientation; None when every edge is fine."""
+    seen = set()
+    for u, v in edges:
+        if u < 0 or v < 0:
+            return "invalid", "vertex ids must be non-negative, got (%d, %d)" % (u, v)
+        if u == v:
+            return "invalid", "self-loop at vertex %d" % u
+        e = (min(u, v), max(u, v))
+        if e in seen:
+            return "duplicate", "duplicate edge (%d, %d)" % e
+        seen.add(e)
+    return None
+
+
 def brute_triangles(edges):
     """Triangle count by enumerating all vertex triples."""
     adj = _adj_from_edges(edges)

@@ -1,6 +1,8 @@
-"""Every demo script runs to completion and prints something."""
+"""Every demo script, and the README's library example, runs to completion
+and prints something."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,12 +13,27 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(demo):
+def run_python(*args):
+    """Run Python with `args` against the source tree, as a user would."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    r = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+    r = subprocess.run([sys.executable, *args], capture_output=True, text=True,
                        env=env, timeout=300)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip()
+    return r.stdout
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    run_python(str(demo))
+
+
+def test_readme_example_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        re.M | re.S)
+    assert len(blocks) == 1
+    out = run_python("-c", blocks[0]).splitlines()
+    # the exact count its comment promises
+    assert out[0] == "200"

@@ -3,10 +3,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tricount import EdgeListParseError, Order, open_stream, read_edge_list, write_edge_list
+from tricount import EdgeListParseError, Order, open_stream, write_edge_list
 from tricount import edgelist
 from tricount.cli import main
-from tricount.edgelist import iter_edge_blocks, iter_edge_file, parse_edge_line
+from tricount.edgelist import iter_edge_blocks, parse_edge_line, read_edge_arrays
+
+
+def read_pairs(path):
+    """`read_edge_arrays` as a list of (u, v) pairs."""
+    U, V = read_edge_arrays(path)
+    return list(zip(U.tolist(), V.tolist()))
 
 
 def test_parse_line_basics():
@@ -33,7 +39,7 @@ def test_read_reports_line_numbers(tmp_path):
     f = tmp_path / "bad.el"
     f.write_text("# header\n0 1\n1 2\noops\n")
     with pytest.raises(EdgeListParseError) as ei:
-        read_edge_list(f)
+        read_edge_arrays(f)
     assert ei.value.lineno == 4
     assert "line 4" in str(ei.value)
 
@@ -42,7 +48,7 @@ def test_read_rejects_duplicates(tmp_path):
     f = tmp_path / "dup.el"
     f.write_text("0 1\n2 3\n1 0\n")
     with pytest.raises(EdgeListParseError) as ei:
-        read_edge_list(f)
+        read_edge_arrays(f)
     assert "duplicate" in str(ei.value)
     assert ei.value.lineno == 3
 
@@ -54,13 +60,13 @@ def test_round_trip(tmp_path):
     assert n == 4
     text = f.read_text()
     assert text.startswith("# toy graph\n# four edges\n")
-    assert read_edge_list(f) == edges
+    assert read_pairs(f) == edges
 
 
 def test_read_skips_comments_and_blanks(tmp_path):
     f = tmp_path / "g.el"
     f.write_text("# top\n\n0 1\n\n# middle\n1 2\n")
-    assert read_edge_list(f) == [(0, 1), (1, 2)]
+    assert read_pairs(f) == [(0, 1), (1, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -100,13 +106,13 @@ def edges_of(result):
 
 def assert_readers_agree(path, data):
     ref = outcome(reference_read, data)
-    # a pass parses like the scan but leaves duplicates to it
-    ref_pass = outcome(reference_read, data, False)
-    assert outcome(read_edge_list, path) == edges_of(ref)
-    assert outcome(lambda p: list(iter_edge_file(p)), path) == ref_pass
-    blocks = outcome(lambda p: [e for U, V, _ in iter_edge_blocks(p)
-                                for e in zip(U.tolist(), V.tolist())], path)
-    assert blocks == edges_of(ref_pass)
+    assert outcome(read_pairs, path) == edges_of(ref)
+    # the blocks give each edge with its line, as the scan parses them,
+    # but leave duplicates to the scan
+    blocks = outcome(lambda p: [pair for U, V, lineno in iter_edge_blocks(p)
+                                for pair in zip(zip(U.tolist(), V.tolist()), lineno.tolist())],
+                     path)
+    assert blocks == outcome(reference_read, data, False)
     if ref[0] == "error":
         assert outcome(open_stream, path) == ref
         return
@@ -246,7 +252,7 @@ def test_passes_concatenate_to_reference(tmp_path_factory, case, block):
             chunks = list(s.iter_chunks(cs))
             assert all(U.size == cs for U, _ in chunks[:-1])
             assert [e for U, V in chunks for e in zip(U.tolist(), V.tolist())] == edges
-        assert read_edge_list(f) == edges
+        assert read_pairs(f) == edges
     finally:
         edgelist._BLOCK_BYTES = old
 

@@ -213,8 +213,6 @@ def test_non_integer_ids_are_rejected(source):
     pairs = list(zip(*source)) if isinstance(source, tuple) else source
     with pytest.raises(ValueError, match="integers"):
         AdjacencyGraph(pairs)
-    with pytest.raises(ValueError, match="integers"):
-        AdjacencyGraph([(0, 1)], vertices=[v for e in pairs for v in e])
 
 
 def test_two_dimensional_endpoint_arrays_are_rejected():
