@@ -49,8 +49,18 @@ repetition run one single-pass loop, `_one_pass_count`, on one kernel,
 sampled neighbours and adds a kept edge to the sample (it also builds a
 `_Sample`'s sets).  A look-ahead pass first draws the coins and gathers
 the kept edges, whose heavy core the walk holds as the bits of one int per
-slot, so the core's part of a count is one AND and a bit count; the
-look-ahead is one more physical pass, and `passes` stays 1.  Each pass
+slot, so the core's part of a count is one AND and a bit count.  The
+sample only grows, so an edge whose ends share no neighbour in the final
+sample counts 0 wherever it arrives: a second pass tests every edge the
+walk would count against the final sample (`_Wedges`), and the walk takes
+only the edges that pass, the candidates, and the kept edges at their
+ends (`_pruned_walk`).  A candidate's ends then hold every kept edge they
+have, so its count is exact, and any other edge the walk takes sees a
+subset of its ends' sampled neighbours and counts 0, as it would in a
+walk over every edge; on a small stream, or when a pre-test shows that
+most edges are candidates or that testing them costs more than walking
+them, the walk takes every edge.  The look-ahead is one more physical
+pass, and `passes` stays 1.  Each pass
 counts the edges it keeps; a report's max_stored_edges is their sum over
 the repetitions, since a run holds all its samples at once.
 
@@ -465,6 +475,142 @@ def _two_pass_counts(stream, p, rng, census):
     return sample.triangles + s, kept
 
 
+class _Wedges:
+    """Which edges share a neighbour in the fixed sample of edges
+    (KU[i], KV[i]) on the slots 0..n-1 (n^2 below 2^63), given a heavy
+    core `core`.  A slot with a neighbour in the core holds those
+    neighbours as a row of bits, packed into uint64 words and stored word
+    by word (masks[j, row[x]], row 0 empty for the other slots).  Every
+    other sample pair is a key x*n + w, x's neighbour w outside the core,
+    in the sorted `keys`; slot x's keys are keys[start[x]:start[x + 1]]."""
+
+    def __init__(self, KU, KV, core, n):
+        self.n = n
+        X, W = np.concatenate((KU, KV)), np.concatenate((KV, KU))
+        self.masks = None
+        if core.size:
+            pos = np.full(n, -1, dtype=np.int64)
+            pos[core] = np.arange(core.size)
+            H = pos.take(W)
+            light = H < 0
+            XH, H = X[~light], H[~light]
+            X, W = X[light], W[light]
+            self.row = np.zeros(n, dtype=np.int32)
+            self.row[XH] = 1
+            rows = np.flatnonzero(self.row)
+            self.row[rows] = np.arange(1, rows.size + 1, dtype=np.int32)
+            # one sort by word, row and bit; the bits of a word then OR together
+            cell = np.sort(((H >> 6) * (rows.size + 1) + self.row.take(XH)) << 6 | H & 63)
+            first = np.flatnonzero(np.diff(cell >> 6, prepend=-1))
+            bits = np.left_shift(np.uint64(1), (cell & 63).astype(np.uint64))
+            self.masks = np.zeros(((core.size + 63) // 64, rows.size + 1), dtype=np.uint64)
+            self.masks.reshape(-1)[cell[first] >> 6] = np.bitwise_or.reduceat(bits, first)
+        self.keys = np.sort(X * n + W)
+        self.start = np.zeros(n + 1, dtype=np.int32)  # under 2^31 sample edges
+        np.cumsum(np.bincount(X, minlength=n), out=self.start[1:])
+
+    def __call__(self, U, V):
+        """A bool per edge (U[i], V[i]): do its ends share a neighbour?"""
+        hit = np.zeros(U.size, dtype=bool)
+        if self.masks is not None:
+            ru, rv = self.row.take(U), self.row.take(V)
+            i = np.flatnonzero((ru != 0) & (rv != 0))
+            ru, rv = ru[i], rv[i]
+            common = np.zeros(i.size, dtype=np.uint64)
+            for word in self.masks:
+                common |= word.take(ru) & word.take(rv)
+            hit[i] = common != 0
+        if self.keys.size:
+            # each key x*n + w of the end x with fewer light neighbours,
+            # moved to the other end y, is y*n + w
+            su, sv = self.start.take(U), self.start.take(V)
+            du, dv = self.start.take(U + 1) - su, self.start.take(V + 1) - sv
+            fewer = du <= dv
+            d = np.where(fewer, du, dv)
+            i = np.flatnonzero(d * ~hit)
+            d, s, shift = d[i], np.where(fewer, su, sv)[i], (V - U)[i] * self.n
+            shift[~fewer[i]] *= -1
+            k = np.repeat(s - (np.cumsum(d) - d), d) + np.arange(d.sum())
+            probe = self.keys.take(k) + np.repeat(shift, d)
+            found = self.keys.take(self.keys.searchsorted(probe), mode="clip") == probe
+            hit[i[np.repeat(np.arange(i.size), d)[found]]] = True
+        return hit
+
+    def probes(self, U, V):
+        """The keys each edge (U[i], V[i]) probes: its ends' fewer light
+        neighbours."""
+        start = self.start
+        return np.minimum(start.take(U + 1) - start.take(U), start.take(V + 1) - start.take(V))
+
+
+# Before the filter is built, the first _PRETEST kept edges, a uniform
+# sample of the queries, are tested against their ends' own sample edges.
+# The filter cannot pay when more than _CANDIDATE_MAX_SHARE of them share a
+# sampled neighbour (the walk would take most edges anyway) or when they
+# probe more than _MAX_PROBES keys each on average: a probe is a binary
+# search, and on random graphs with few triangles the filter stopped paying
+# at about 7 probes a query with census on and 10 without.  The walk then
+# takes every edge, as it does on a stream of fewer than _PRUNE_MIN_EDGES
+# edges, where the filter's fixed numpy cost outweighs the walk.
+_PRETEST = 64
+_CANDIDATE_MAX_SHARE = 0.5
+_MAX_PROBES = 6
+_PRUNE_MIN_EDGES = 16384
+
+
+def _pruned_walk(stream, keeps, KU, KV, core, census):
+    """The edges the one-pass walk needs, in stream order, as chunks
+    (us, vs, keeps) of lists, one for each chunk of the stream, or None
+    when the walk should take every edge (see _PRUNE_MIN_EDGES).  `keeps`
+    are the masks that kept the edges (KU[i], KV[i]), whose heavy core is
+    `core`.
+
+    A query (a dropped edge, or any edge when `census`) whose ends share no
+    neighbour in the final sample counts 0 wherever it arrives, since the
+    sample only grows.  One replayed pass finds the others, the candidates;
+    the walk takes the dropped candidates and every kept edge with an end
+    among the candidates' ends, so each candidate's ends get every kept
+    edge they have and count exactly, while any other edge the walk takes
+    sees a subset of its ends' sampled neighbours and still counts 0."""
+    if stream.m < _PRUNE_MIN_EDGES:
+        return None
+    n = stream._slot_map()[0]
+    ends = np.zeros(n, dtype=bool)
+    # a kept edge's ends share a neighbour in the rest of the sample as
+    # often as a dropped edge's do in all of it: the coins are independent
+    QU, QV = KU[:_PRETEST], KV[:_PRETEST]
+    ends[QU] = ends[QV] = True
+    near = np.flatnonzero(ends.take(KU) | ends.take(KV))
+    pretest = _Wedges(KU.take(near), KV.take(near), core, n)
+    if (np.count_nonzero(pretest(QU, QV)) > _CANDIDATE_MAX_SHARE * QU.size
+            or pretest.probes(QU, QV).sum() > _MAX_PROBES * QU.size):
+        return None
+    ends[QU] = ends[QV] = False
+    wedges = _Wedges(KU, KV, core, n)
+    at, pos, us, vs = 0, [], [], []
+    for U, V, keep in _replay(stream, keeps):
+        q = np.arange(U.size) if census else np.flatnonzero(~keep)
+        q = q[wedges(U.take(q), V.take(q))]
+        ends[U.take(q)] = ends[V.take(q)] = True
+        q = q[~keep.take(q)]  # a kept candidate joins as a kept edge at its ends
+        pos.append(q + at)
+        us.append(U.take(q))
+        vs.append(V.take(q))
+        at += U.size
+    del wedges
+    dropped = sum(map(len, pos))
+    near = np.flatnonzero(ends.take(KU) | ends.take(KV))
+    pos.append(np.flatnonzero(np.concatenate(keeps)).take(near))
+    us.append(KU.take(near))
+    vs.append(KV.take(near))
+    pos = np.concatenate(pos)
+    order = np.argsort(pos)
+    # a chunk of the walk per chunk of the stream bounds the walk's lists
+    cuts = pos.take(order).searchsorted(np.cumsum([keep.size for keep in keeps])[:-1])
+    return zip(*(map(np.ndarray.tolist, np.split(X.take(order), cuts))
+                 for X in (np.concatenate(us), np.concatenate(vs), np.arange(order.size) >= dropped)))
+
+
 def _one_pass_count(stream, p, rng, census):
     """One pass that keeps each edge with probability p and counts every
     edge against the sample as it grows: the triangles each dropped edge
@@ -472,14 +618,21 @@ def _one_pass_count(stream, p, rng, census):
     joins.  Returns (count, kept).
 
     A look-ahead pass draws the coins first and gathers the kept edges,
-    whose `_heavy_core` the counting pass then holds as bit masks; the
-    counting pass replays its keep masks, chunk by chunk (`_replay`)."""
+    whose `_heavy_core` the counting walk then holds as bit masks.  A
+    second pass replays the keep masks (`_replay`) and finds the edges that
+    can count, with their ends' kept edges (`_pruned_walk`); the walk takes
+    those alone, in stream order, and gets the same integers as a walk
+    over every edge, which it makes instead on a small stream or when a
+    pre-test shows that the filter cannot pay."""
     KU, KV, keeps = _kept_edges(stream, p, rng)
-    core, kept = _heavy_core(KU, KV).tolist(), KU.size
+    core, kept = _heavy_core(KU, KV), KU.size
+    walk = _pruned_walk(stream, keeps, KU, KV, core, census)
     del KU, KV
-    chunks = ((U.tolist(), V.tolist(), keep.tolist())
-              for U, V, keep in _replay(stream, keeps))
-    return sum(_count_and_add([None] * stream._slot_map()[0], chunks, census, core)), kept
+    if walk is None:
+        walk = ((U.tolist(), V.tolist(), keep.tolist())
+                for U, V, keep in _replay(stream, keeps))
+    return sum(_count_and_add([None] * stream._slot_map()[0], walk, census,
+                              core.tolist())), kept
 
 
 # ---------------------------------------------------------------------------

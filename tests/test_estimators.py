@@ -498,6 +498,127 @@ def test_one_pass_reports_do_not_depend_on_chunks(monkeypatch, chunk):
 
 
 # ---------------------------------------------------------------------------
+# the one-pass walk pruned to the edges that can close a sampled wedge
+
+def force_pruning(monkeypatch, pruning):
+    """"rules": the pre-test alone decides whether the walk is cut, on a
+    stream of any size; "always": every walk is cut; "never": none is."""
+    monkeypatch.setattr(estimators, "_PRUNE_MIN_EDGES", 2 ** 62 if pruning == "never" else 0)
+    if pruning == "always":
+        monkeypatch.setattr(estimators, "_CANDIDATE_MAX_SHARE", 1.0)
+        monkeypatch.setattr(estimators, "_MAX_PROBES", math.inf)
+
+
+def test_wedges_find_every_shared_neighbour():
+    # a sample on 150 slots with hubs, a repeated edge and an isolated
+    # slot, under cores of 0, 5, 70 (two words a row) and 140 slots: each
+    # pair of slots shares a neighbour exactly when the filter says so
+    rng = random.Random(3)
+    pairs = [(u, v) for u in range(149) for v in range(u + 1, 149)
+             if rng.random() < (0.5 if u < 8 else 0.02)]
+    pairs += pairs[:3]
+    KU, KV = np.array(pairs, dtype=np.int64).T
+    adj = oracles._adj_from_edges(pairs)
+    U, V = np.array([(u, v) for u in range(150) for v in range(u + 1, 150)], dtype=np.int64).T
+    want = [bool(adj.get(u, set()) & adj.get(v, set())) for u, v in zip(U.tolist(), V.tolist())]
+    assert 0 < sum(want) < len(want)
+    for size in (0, 5, 70, 140):
+        core = np.sort(np.array(rng.sample(range(150), size), dtype=np.int64))
+        wedges = estimators._Wedges(KU, KV, core, 150)
+        assert wedges(U, V).tolist() == want
+        assert wedges(V, U).tolist() == want
+
+
+@pytest.mark.parametrize("chunk", [5, 65536])
+def test_pruned_walk_matches_oracle(monkeypatch, chunk):
+    # small random graphs in random arrival orders: r read off alg2-rand's
+    # per-trial estimates and s off alg1-rand equal the plain walk of
+    # tests/oracles.py, under every heavy core, whether the walk is cut
+    # always or as its pre-test decides, with ids from 0, just below 2^62
+    # and, on unvalidated streams, negative
+    monkeypatch.setattr(stream_module, "_CHUNK_SIZE", chunk)
+    cut = []
+    pruned_walk = estimators._pruned_walk
+
+    def spy(*args):
+        walk = pruned_walk(*args)
+        cut.append(walk is not None)
+        return walk
+
+    monkeypatch.setattr(estimators, "_pruned_walk", spy)
+    rng = random.Random(11)
+    seen = set()
+    for trial in range(24):
+        n = rng.randint(5, 16)
+        density = rng.choice((0.2, 0.4, 0.8))
+        base = (0, 2 ** 62 - 16, -8)[trial % 3]
+        edges = [(base + u, base + v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < density]
+        if not edges:
+            continue
+        m, p, seed = len(edges), (0.3, 0.6, 0.9, 1.0)[trial % 4], rng.randint(0, 999)
+        stream = open_stream(edges, order=Order.RANDOM_PERMUTATION, seed=seed,
+                             validate=base >= 0)
+        ordered = [edges[i] for i in order_rng(seed).permutation(m)]
+        keep = sampler_rng(seed).random(m) < p
+        s = oracles.one_pass_counts(ordered, keep)[0]
+        reps = [trial_rng(seed, i).random(m) < p for i in range(2)]
+        rs = [oracles.one_pass_counts(ordered, k)[1] for k in reps]
+        for core in HEAVY_CORES:
+            kept = np.array([e for e, k in zip(ordered, reps[0]) if k], dtype=np.int64) - base
+            deg = np.bincount(kept.ravel()) if kept.size else np.zeros(0, dtype=np.int64)
+            with pytest.MonkeyPatch.context() as mp:
+                force_heavy(mp, core)
+                hid = _heavy_core(*kept.reshape(-1, 2).T)
+                if np.count_nonzero(deg >= estimators._HEAVY_MIN_DEGREE) > hid.size:
+                    seen.add("capped core")
+                if any((u in hid.tolist()) != (v in hid.tolist()) for u, v in kept.tolist()):
+                    seen.add("light joined to core")
+                for pruning in ("rules", "always"):
+                    force_pruning(mp, pruning)
+                    a2 = alg2_one_pass_random(stream, p, 2, seed)
+                    assert [round(r * p * p) for r in a2.per_trial_estimates] == rs
+                    if p < 1:
+                        a1 = alg1_one_pass_random(stream, p, seed)
+                        assert round(a1.estimate * p * p * (1 - p)) == s
+        seen.add((base, p))
+    assert {"capped core", "light joined to core"} <= seen
+    assert len(seen) == 2 + 12
+    assert True in cut and False in cut
+
+
+def test_pruned_walk_takes_few_edges(monkeypatch):
+    # on a planted graph in random order, the filler's two sides share no
+    # neighbour, so the walk takes the candidates among the triangles'
+    # edges and their ends' kept edges: a few percent of the stream, in a
+    # chunk for each of the stream's ten, with every report as the walk
+    # over every edge gives it
+    monkeypatch.setattr(stream_module, "_CHUNK_SIZE", 4096)
+    shuffled = open_stream(gen_planted(40000, 4000, seed=3), order=Order.RANDOM_PERMUTATION,
+                           seed=1)
+    got = {}
+    for pruning in ("never", None):
+        walked = []
+        with pytest.MonkeyPatch.context() as mp:
+            if pruning:
+                force_pruning(mp, pruning)
+            walk = estimators._count_and_add
+
+            def spy(adj, chunks, census, core=()):
+                chunks = list(chunks)
+                assert len(chunks) == 10
+                walked.append(sum(len(us) for us, _, _ in chunks))
+                return walk(adj, chunks, census, core)
+
+            mp.setattr(estimators, "_count_and_add", spy)
+            got[pruning] = [alg1_one_pass_random(shuffled, 0.3, 2).to_json(),
+                            alg2_one_pass_random(shuffled, 0.3, 4, 2).to_json()], walked
+    assert got[None][0] == got["never"][0]
+    assert got["never"][1] == [shuffled.m] * 5
+    assert all(0 < w < 0.1 * shuffled.m for w in got[None][1])
+
+
+# ---------------------------------------------------------------------------
 # every run or repetition draws each coin once
 
 @pytest.mark.parametrize("engine", ["dense", "sets"])
@@ -565,10 +686,14 @@ def rechunked_stream(first, later):
 @pytest.mark.parametrize("later", [[5] * 6, [8, 8, 8], [8, 8, 8, 6, 4]])
 def test_replays_need_the_chunks_the_coins_were_drawn_on(monkeypatch, later):
     # a later pass with chunks of other sizes, fewer chunks or more chunks
-    # than the pass that drew the coins: zip would quietly cut it short
+    # than the pass that drew the coins: zip would quietly cut it short;
+    # the one-pass count replays them whether its walk is cut or not
     first = [8, 8, 8, 6]
     force_engine(monkeypatch, "sets")
-    for count in (estimators._two_pass_counts, estimators._one_pass_count):
+    for count, pruning in ((estimators._two_pass_counts, "never"),
+                           (estimators._one_pass_count, "never"),
+                           (estimators._one_pass_count, "always")):
+        force_pruning(monkeypatch, pruning)
         with pytest.raises(SourceChangedError, match="chunk [0-9]+ of a pass"):
             count(rechunked_stream(first, later), 0.5, sampler_rng(2), True)
         want = count(open_stream(POOL[:30]), 0.5, sampler_rng(2), True)
