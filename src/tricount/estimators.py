@@ -36,33 +36,32 @@ alg1 and every alg2 repetition run one two-pass core, `_two_pass_counts`,
 on one of two engines that give the same integers, picked from the input
 alone (`_dense_fits`): a float32 adjacency matrix A of all slots squared by
 the exact oracle's BLAS kernel, whose pass 2 draws no coins (it sums A^2
-over every stream edge less the kept edges' share), or a `_Sample`.  That
-holds the edges among its vertices of high sample degree, the heavy core,
-in a matrix squared by the same kernel and every other edge in neighbour
-sets, so a query edge's common sampled neighbours are a set intersection,
-a matrix entry and, for a light end joined to a heavy one, a sum over the
-light end's heavy neighbours, each evaluated for a chunk of queries at
-once.  alg2's census (the sample's own triangles) is a third of that count
-summed over the kept edges; alg1 skips it.  alg1-rand and every alg2-rand
+over every stream edge less the kept edges' share), or a `_Wedges` of the
+kept edges.  That splits the sample by its vertices of high sample degree,
+the heavy core: a slot holds its neighbours in the core as a row of bits,
+and every other sample edge is a sorted key, so a query edge's common
+sampled neighbours are the bits its ends' rows share plus the keys of one
+end found among the other's, evaluated for a chunk of queries at once.
+alg2's census (the sample's own triangles) is a third of that count summed
+over the kept edges; alg1 skips it.  alg1-rand and every alg2-rand
 repetition run one single-pass loop, `_one_pass_count`, on one kernel,
 `_count_and_add`: it walks edges in order, counts a dropped edge's common
-sampled neighbours and adds a kept edge to the sample (it also builds a
-`_Sample`'s sets).  A look-ahead pass first draws the coins and gathers
-the kept edges, whose heavy core the walk holds as the bits of one int per
-slot, so the core's part of a count is one AND and a bit count.  The
-sample only grows, so an edge whose ends share no neighbour in the final
-sample counts 0 wherever it arrives: a second pass tests every edge the
-walk would count against the final sample (`_Wedges`), and the walk takes
-only the edges that pass, the candidates, and the kept edges at their
-ends (`_pruned_walk`).  A candidate's ends then hold every kept edge they
-have, so its count is exact, and any other edge the walk takes sees a
-subset of its ends' sampled neighbours and counts 0, as it would in a
-walk over every edge; on a small stream, or when a pre-test shows that
-most edges are candidates or that testing them costs more than walking
-them, the walk takes every edge.  The look-ahead is one more physical
-pass, and `passes` stays 1.  Each pass
-counts the edges it keeps; a report's max_stored_edges is their sum over
-the repetitions, since a run holds all its samples at once.
+sampled neighbours and adds a kept edge to the sample.  A look-ahead pass
+first draws the coins and gathers the kept edges, whose heavy core the
+walk holds as the bits of one int per slot, so the core's part of a count
+is one AND and a bit count.  The sample only grows, so an edge whose ends
+share no neighbour in the final sample counts 0 wherever it arrives: a
+second pass tests every edge the walk would count against the final
+sample (`_Wedges` again), and the walk takes only the edges that pass, the
+candidates, and the kept edges at their ends (`_pruned_walk`).  A
+candidate's ends then hold every kept edge they have, so its count is
+exact, and any other edge the walk takes sees a subset of its ends'
+sampled neighbours and counts 0, as it would in a walk over every edge; on
+a small stream, or when a pre-test shows that most edges are candidates
+or that testing them costs more than walking them, the walk takes every
+edge.  The look-ahead is one more physical pass, and `passes` stays 1.
+Each pass counts the edges it keeps; a report's max_stored_edges is their
+sum over the repetitions, since a run holds all its samples at once.
 
 Repetition i draws its coins from trial_rng(master_seed, i) alone, so an
 l-repetition run reports exactly the l independent repetitions.
@@ -70,18 +69,20 @@ l-repetition run reports exactly the l independent repetitions.
 
 import json
 import math
-from itertools import repeat, zip_longest
-from operator import and_
+from itertools import zip_longest
 
 import numpy as np
 
+from . import stream as stream_module
 from .graph import _dense_kernel, _DENSE_MAX_N
 from .stream import Order, SourceChangedError, sampler_rng, trial_rng
 
 # a sample vertex with this many sample edges joins the heavy core, which
-# holds at most _HEAVY_MAX_N of them
+# holds at most _HEAVY_MAX_N of them, the bits of a row of core neighbours
 _HEAVY_MIN_DEGREE = 32
 _HEAVY_MAX_N = _DENSE_MAX_N
+
+_REPEATED_KEPT_EDGE = "the stream repeats a kept edge; its edges must be distinct"
 
 
 class Algorithm:
@@ -208,18 +209,18 @@ def choose_repetitions(epsilon):
 # ---------------------------------------------------------------------------
 # the counting kernels, also driven exhaustively by the test oracles
 
-def _count_and_add(adj, chunks, census, core=()):
-    """Walk the edges of `chunks`, triples (us, vs, keeps) of lists of
-    slots, in order against the sample `adj`, a list holding each slot's
-    set of sampled neighbours, or None.  A dropped edge (us[i], vs[i]) adds
-    its endpoints' common sampled neighbours to s; a kept edge joins the
-    sample, after adding that same count to t when `census` is true.
-    Returns (s, t).
+def _count_and_add(adj, chunks, census, core):
+    """The one-pass walk: walk the edges of `chunks`, triples (us, vs,
+    keeps) of lists of slots, in order against the growing sample `adj`, a
+    list holding each slot's set of sampled neighbours, or None.  A dropped
+    edge (us[i], vs[i]) adds its endpoints' common sampled neighbours to s;
+    a kept edge joins the sample, after adding that same count to t when
+    `census` is true.  Returns (s, t).
 
-    The slots of `core`, at most _HEAVY_MAX_N, are bits: a sample vertex
-    holds its neighbours in the core as the bits of one int, and adj holds
-    only its other neighbours, so the core's part of a count is one AND
-    and a bit count.
+    The slots of `core`, a list of at most _HEAVY_MAX_N, are bits: a sample
+    vertex holds its neighbours in the core as the bits of one int, and adj
+    holds only its other neighbours, so the core's part of a count is one
+    AND and a bit count.
 
     Each triangle of the sample is counted in t once, when its last edge
     arrives, so t summed over the kept edges is the sample's triangle
@@ -280,66 +281,124 @@ def _heavy_core(KU, KV):
     return np.flatnonzero(heavy)
 
 
-class _Sample:
-    """A fixed edge sample on the slots 0..n-1, split for counting after
-    Alon, Yuster and Zwick (1997).  The heavy vertices (`_heavy_core`) index
-    a float32 matrix A of the sample edges between two of them (pos[v] is
-    slot v's index, or -1), and C = A @ A counts their common heavy
-    neighbours.  Every other sample edge stays in neighbour sets: slot v
-    holds sets[v] when has[v] and, when light, has its heavy neighbours in
-    row[start[v]:start[v] + size[v]] (int32 fits: under 2^31 sample edges).
-    With `census`, `triangles` counts the sample's own triangles, else 0."""
+class _Wedges:
+    """The common neighbours of pairs of slots in the fixed sample of edges
+    (KU[i], KV[i]) on the slots 0..n-1 (n^2 below 2^63), split by a heavy
+    core `core` after Alon, Yuster and Zwick (1997).  A slot with a
+    neighbour in the core holds those neighbours as a row of bits, packed
+    into uint64 words and stored word by word (masks[j, row[x]], row 0
+    empty for the other slots).  Every other sample pair is a key x*n + w,
+    x's neighbour w outside the core, in the sorted `keys`; slot x's keys
+    are keys[start[x]:start[x + 1]].  A common neighbour is then a bit set
+    in both ends' rows or a key of one end found among the other's.
 
-    def __init__(self, KU, KV, census, n):
-        self.heavy = hid = _heavy_core(KU, KV)
-        LU, LV = KU, KV
-        if hid.size:
-            self.pos = np.full(n, -1, dtype=np.int32)
-            self.pos[hid] = np.arange(hid.size)
-            iu, iv = self.pos.take(KU), self.pos.take(KV)
-            hu, hv = iu >= 0, iv >= 0
-            both = hu & hv
-            one = hu ^ hv
-            light, h = np.where(hu, KV, KU)[one], np.where(hu, iu, iv)[one]
-            LU, LV = KU[~both], KV[~both]
-        adj = [None] * n
-        _count_and_add(adj, [(LU.tolist(), LV.tolist(), repeat(True))], False)
-        self.sets = np.empty(n, dtype=object)
-        self.sets[:] = adj
-        self.has = np.zeros(n, dtype=bool)
-        self.has[LU] = self.has[LV] = True
-        if hid.size:
-            A = np.zeros((hid.size, hid.size), dtype=np.float32)
-            A[iu[both], iv[both]] = A[iv[both], iu[both]] = 1.0
-            self.A, self.C = A, _dense_kernel(A, False)[0]
-            # each light-heavy sample edge joins its light end's row
-            self.row = h[np.argsort(light, kind="stable")]
-            self.size = np.bincount(light, minlength=n).astype(np.int32)
-            self.start = np.cumsum(self.size, dtype=np.int32) - self.size
-        self.triangles = self.count(KU, KV) // 3 if census else 0
+    `repeats` is true when the sample holds an edge twice: its bits OR
+    together, but its keys are probed twice, so `count` would count it
+    twice."""
+
+    def __init__(self, KU, KV, core, n):
+        self.n = n
+        X, W = np.concatenate((KU, KV)), np.concatenate((KV, KU))
+        self.masks, self.repeats = None, False
+        if core.size:
+            pos = np.full(n, -1, dtype=np.int64)
+            pos[core] = np.arange(core.size)
+            H = pos.take(W)
+            light = H < 0
+            XH, H = X[~light], H[~light]
+            X, W = X[light], W[light]
+            self.row = np.zeros(n, dtype=np.int32)
+            self.row[XH] = 1
+            rows = np.flatnonzero(self.row)
+            self.row[rows] = np.arange(1, rows.size + 1, dtype=np.int32)
+            # one sort by word, row and bit; the bits of a word then OR together
+            cell = np.sort(((H >> 6) * (rows.size + 1) + self.row.take(XH)) << 6 | H & 63)
+            self.repeats = bool(np.any(cell[1:] == cell[:-1]))
+            first = np.flatnonzero(np.diff(cell >> 6, prepend=-1))
+            bits = np.left_shift(np.uint64(1), (cell & 63).astype(np.uint64))
+            self.masks = np.zeros(((core.size + 63) // 64, rows.size + 1), dtype=np.uint64)
+            self.masks.reshape(-1)[cell[first] >> 6] = np.bitwise_or.reduceat(bits, first)
+        self.keys = np.sort(X * n + W)
+        self.repeats |= bool(np.any(self.keys[1:] == self.keys[:-1]))
+        self.start = np.zeros(n + 1, dtype=np.int32)  # under 2^31 sample edges
+        np.cumsum(np.bincount(X, minlength=n), out=self.start[1:])
+
+    def __call__(self, U, V):
+        """A bool per edge (U[i], V[i]): do its ends share a neighbour?
+        A sample edge given twice changes no answer."""
+        hit = np.zeros(U.size, dtype=bool)
+        if self.masks is not None:
+            i, words = self._common_words(U, V)
+            common = np.zeros(i.size, dtype=np.uint64)
+            for word in words:
+                common |= word
+            hit[i] = common != 0
+        if self.keys.size:
+            i, d, found = self._probe(U, V, hit)
+            hit[np.repeat(i, d)[found]] = True
+        return hit
 
     def count(self, U, V):
-        """The common sampled neighbours of the slots U[i] and V[i], summed
-        over i: the common neighbours in the sets, plus C[u, v] when both
-        ends are heavy, plus, when one end h is heavy, the heavy neighbours
-        of the light end joined to h in A."""
-        setu, setv = self.has.take(U), self.has.take(V)
-        sets = setu & setv
-        s = sum(map(len, map(and_, self.sets[U[sets]], self.sets[V[sets]])))
-        if not self.heavy.size:
-            return s
-        iu, iv = self.pos.take(U), self.pos.take(V)
-        hu, hv = iu >= 0, iv >= 0
-        both = hu & hv
-        s += int(self.C[iu[both], iv[both]].sum(dtype=np.float64))
-        if self.row.size:
-            one = (hu ^ hv) & np.where(hu, setv, setu)
-            j, h = np.where(hu, V, U)[one], np.where(hu, iu, iv)[one]
-            size = self.size[j]
-            first = np.repeat(self.start[j] - (np.cumsum(size) - size), size)
-            w = self.row[first + np.arange(first.size)]
-            s += int(np.count_nonzero(self.A[w, np.repeat(h, size)]))
+        """The common neighbours of the ends of each edge (U[i], V[i]),
+        summed over i: the bits of the core that both ends' rows set, plus
+        the key probes that find their key."""
+        s = 0
+        if self.masks is not None:
+            s += sum(int(np.bitwise_count(word).sum(dtype=np.int64))
+                     for word in self._common_words(U, V)[1])
+        if self.keys.size:
+            s += int(np.count_nonzero(self._probe(U, V, None)[2]))
         return s
+
+    def _common_words(self, U, V):
+        """(i, words): the edges (U[i], V[i]) whose ends both have a row of
+        core bits, and their two rows ANDed, one word at a time."""
+        ru, rv = self.row.take(U), self.row.take(V)
+        i = np.flatnonzero((ru != 0) & (rv != 0))
+        ru, rv = ru[i], rv[i]
+        return i, (word.take(ru) & word.take(rv) for word in self.masks)
+
+    def _probe(self, U, V, skip):
+        """(i, d, found): the edges (U[i], V[i]) that probe keys, leaving
+        out those that the bool array `skip` (or None) marks, the d[j] keys
+        that edge i[j] probes, and a bool per probe, in order: is its key
+        there?  An edge probes the keys of its end with fewer light
+        neighbours, each key x*n + w of that end x moved to the other end
+        y as y*n + w."""
+        su, sv = self.start.take(U), self.start.take(V)
+        du, dv = self.start.take(U + 1) - su, self.start.take(V + 1) - sv
+        fewer = du <= dv
+        d = np.where(fewer, du, dv)
+        i = np.flatnonzero(d if skip is None else d * ~skip)
+        d, s, shift = d[i], np.where(fewer, su, sv)[i], (V - U)[i] * self.n
+        shift[~fewer[i]] *= -1
+        k = np.repeat(s - (np.cumsum(d) - d), d) + np.arange(d.sum())
+        probe = self.keys.take(k) + np.repeat(shift, d)
+        return i, d, self.keys.take(self.keys.searchsorted(probe), mode="clip") == probe
+
+    def probes(self, U, V):
+        """The keys each edge (U[i], V[i]) probes: its ends' fewer light
+        neighbours."""
+        start = self.start
+        return np.minimum(start.take(U + 1) - start.take(U), start.take(V + 1) - start.take(V))
+
+
+def _sample_census(KU, KV, n, census):
+    """The two-pass sets engine's sample of the distinct kept edges
+    (KU[i], KV[i]) on the slots 0..n-1: their `_Wedges` under their
+    `_heavy_core`, and the sample's triangle count when `census` (else 0),
+    a third of the common sampled neighbours summed over the kept edges.
+    The census counts stream._CHUNK_SIZE kept edges at a time, as pass 2
+    does the stream's edges, which bounds the probes' temporaries.  A kept
+    edge given twice raises ValueError."""
+    wedges = _Wedges(KU, KV, _heavy_core(KU, KV), n)
+    if wedges.repeats:
+        raise ValueError(_REPEATED_KEPT_EDGE)
+    t, step = 0, stream_module._CHUNK_SIZE
+    if census:
+        t = sum(wedges.count(KU[i:i + step], KV[i:i + step])
+                for i in range(0, KU.size, step)) // 3
+    return wedges, t
 
 
 def _slot_lists(edges):
@@ -358,8 +417,8 @@ def _sample_then_closures(edges, keep, census):
     us, vs, n = _slot_lists(edges)
     U, V = np.array((us, vs), dtype=np.int64).reshape(2, -1)
     keep = np.array(keep, dtype=bool)
-    sample = _Sample(U[keep], V[keep], census, n)
-    return sample.triangles + sample.count(U[~keep], V[~keep])
+    wedges, t = _sample_census(U[keep], V[keep], n, census)
+    return t + wedges.count(U[~keep], V[~keep])
 
 
 def alg1_pass2_count(edges, keep):
@@ -453,7 +512,8 @@ def _two_pass_counts(stream, p, rng, census):
     kept edges.  That relies on the stream's distinct edges: the trace of
     C, the sample degrees summed, must be twice the kept edges, else a kept
     edge streamed by twice.  Otherwise pass 2 replays pass 1's masks
-    against a `_Sample`."""
+    against the kept edges' `_Wedges` (`_sample_census`), which reject a
+    repeated kept edge too."""
     n = stream._slot_map()[0]
     if _dense_fits(stream, p):
         A, kept = np.zeros((n, n), dtype=np.float32), 0
@@ -462,85 +522,17 @@ def _two_pass_counts(stream, p, rng, census):
             ku, kv = U.take(i), V.take(i)
             A[ku, kv] = A[kv, ku] = 1.0
             kept += i.size
-        common, t_in = _dense_kernel(A, True)
+        common, t_in = _dense_kernel(A)
         if int(common.trace(dtype=np.float64)) != 2 * kept:
-            raise ValueError("the stream repeats a kept edge; its edges must be distinct")
+            raise ValueError(_REPEATED_KEPT_EDGE)
         closed = sum(int(common.take(U * n + V).sum(dtype=np.float64))
                      for U, V in stream._slot_chunks())
         return closed - 3 * t_in + (t_in if census else 0), kept
     KU, KV, keeps = _kept_edges(stream, p, rng)
-    sample, kept = _Sample(KU, KV, census, n), KU.size
+    (wedges, t), kept = _sample_census(KU, KV, n, census), KU.size
     del KU, KV
-    s = sum(sample.count(U[~keep], V[~keep]) for U, V, keep in _replay(stream, keeps))
-    return sample.triangles + s, kept
-
-
-class _Wedges:
-    """Which edges share a neighbour in the fixed sample of edges
-    (KU[i], KV[i]) on the slots 0..n-1 (n^2 below 2^63), given a heavy
-    core `core`.  A slot with a neighbour in the core holds those
-    neighbours as a row of bits, packed into uint64 words and stored word
-    by word (masks[j, row[x]], row 0 empty for the other slots).  Every
-    other sample pair is a key x*n + w, x's neighbour w outside the core,
-    in the sorted `keys`; slot x's keys are keys[start[x]:start[x + 1]]."""
-
-    def __init__(self, KU, KV, core, n):
-        self.n = n
-        X, W = np.concatenate((KU, KV)), np.concatenate((KV, KU))
-        self.masks = None
-        if core.size:
-            pos = np.full(n, -1, dtype=np.int64)
-            pos[core] = np.arange(core.size)
-            H = pos.take(W)
-            light = H < 0
-            XH, H = X[~light], H[~light]
-            X, W = X[light], W[light]
-            self.row = np.zeros(n, dtype=np.int32)
-            self.row[XH] = 1
-            rows = np.flatnonzero(self.row)
-            self.row[rows] = np.arange(1, rows.size + 1, dtype=np.int32)
-            # one sort by word, row and bit; the bits of a word then OR together
-            cell = np.sort(((H >> 6) * (rows.size + 1) + self.row.take(XH)) << 6 | H & 63)
-            first = np.flatnonzero(np.diff(cell >> 6, prepend=-1))
-            bits = np.left_shift(np.uint64(1), (cell & 63).astype(np.uint64))
-            self.masks = np.zeros(((core.size + 63) // 64, rows.size + 1), dtype=np.uint64)
-            self.masks.reshape(-1)[cell[first] >> 6] = np.bitwise_or.reduceat(bits, first)
-        self.keys = np.sort(X * n + W)
-        self.start = np.zeros(n + 1, dtype=np.int32)  # under 2^31 sample edges
-        np.cumsum(np.bincount(X, minlength=n), out=self.start[1:])
-
-    def __call__(self, U, V):
-        """A bool per edge (U[i], V[i]): do its ends share a neighbour?"""
-        hit = np.zeros(U.size, dtype=bool)
-        if self.masks is not None:
-            ru, rv = self.row.take(U), self.row.take(V)
-            i = np.flatnonzero((ru != 0) & (rv != 0))
-            ru, rv = ru[i], rv[i]
-            common = np.zeros(i.size, dtype=np.uint64)
-            for word in self.masks:
-                common |= word.take(ru) & word.take(rv)
-            hit[i] = common != 0
-        if self.keys.size:
-            # each key x*n + w of the end x with fewer light neighbours,
-            # moved to the other end y, is y*n + w
-            su, sv = self.start.take(U), self.start.take(V)
-            du, dv = self.start.take(U + 1) - su, self.start.take(V + 1) - sv
-            fewer = du <= dv
-            d = np.where(fewer, du, dv)
-            i = np.flatnonzero(d * ~hit)
-            d, s, shift = d[i], np.where(fewer, su, sv)[i], (V - U)[i] * self.n
-            shift[~fewer[i]] *= -1
-            k = np.repeat(s - (np.cumsum(d) - d), d) + np.arange(d.sum())
-            probe = self.keys.take(k) + np.repeat(shift, d)
-            found = self.keys.take(self.keys.searchsorted(probe), mode="clip") == probe
-            hit[i[np.repeat(np.arange(i.size), d)[found]]] = True
-        return hit
-
-    def probes(self, U, V):
-        """The keys each edge (U[i], V[i]) probes: its ends' fewer light
-        neighbours."""
-        start = self.start
-        return np.minimum(start.take(U + 1) - start.take(U), start.take(V + 1) - start.take(V))
+    return t + sum(wedges.count(U[~keep], V[~keep])
+                   for U, V, keep in _replay(stream, keeps)), kept
 
 
 # Before the filter is built, the first _PRETEST kept edges, a uniform

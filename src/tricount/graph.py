@@ -30,8 +30,10 @@ class DuplicateEdgeError(GraphError):
     pass
 
 
-# dense counting (here, in the estimators' dense engine and in their heavy
-# core) needs an adjacency matrix this small, and here a graph this dense
+# dense counting (here and in the estimators' dense engine) needs an
+# adjacency matrix this small, and here a graph this dense; the estimators'
+# heavy core is no matrix, but their _HEAVY_MAX_N, the width of its bit
+# rows, takes the same value
 _DENSE_MAX_N = 2048
 _DENSE_MIN_FILL = 1.0 / 32.0
 _INT64_MAX = 2**63 - 1
@@ -215,14 +217,12 @@ def _dense_eligible(nmax, m):
     return 0 < nmax <= _DENSE_MAX_N and m >= _DENSE_MIN_FILL * nmax * nmax
 
 
-def _dense_kernel(a, census=True):
+def _dense_kernel(a):
     """Common neighbour counts of a symmetric 0/1 float32 adjacency matrix
-    `a`, and its triangle count when `census` is true (else 0).  `a @ a.T`
-    equals `a @ a` and runs as BLAS syrk; entries are at most n < 2^24, so
-    exact in float32, and the census sums in float64."""
+    `a`, and its triangle count.  `a @ a.T` equals `a @ a` and runs as BLAS
+    syrk; entries are at most n < 2^24, so exact in float32, and the
+    triangle count sums in float64."""
     aa = a @ a.T
-    if not census:
-        return aa, 0
     return aa, int(round(float((aa * a).sum(dtype=np.float64)))) // 6
 
 

@@ -17,7 +17,7 @@ from tricount import estimators
 from tricount import stream as stream_module
 from tricount.estimators import (alg1_pass2_count, alg2_detected_count,
                                  alg1_one_pass_count, alg2_one_pass_count,
-                                 _dense_fits, _heavy_core, _Sample)
+                                 _dense_fits, _heavy_core, _Wedges)
 from tricount.graph import _DENSE_MAX_N
 from tricount.stream import sampler_rng, order_rng, trial_rng
 
@@ -416,28 +416,29 @@ def test_heavy_core_takes_the_highest_degrees(monkeypatch):
 @pytest.mark.parametrize("core", HEAVY_CORES[1:])
 def test_sample_splits_heavy_and_light(monkeypatch, core):
     # K5 on 0..4 with a pendant path 4-5-6 and a fan 5-{0, 1, 2}: every
-    # heavy pair lives in A, every other edge in the sets, and each count
-    # is the brute-force common neighbours, summed
+    # pair with an end in the core lives in the bit rows, every other in
+    # the keys, and each count is the brute-force common neighbours, summed
     force_heavy(monkeypatch, core)
     edges = [(u, v) for u in range(5) for v in range(u + 1, 5)]
     edges += [(4, 5), (5, 6), (0, 5), (1, 5), (2, 5)]
     U, V = np.array(edges, dtype=np.int64).T
-    sample = _Sample(U, V, census=True, n=8)  # slot 7 is a vertex of no edge
-    heavy = set(sample.heavy.tolist())
-    assert 0 < len(heavy) <= core[1]
-    in_a = int(sample.A.sum()) // 2
-    in_sets = sum(len(x) for x in sample.sets[sample.has]) // 2
-    assert in_a == sum(u in heavy and v in heavy for u, v in edges)
-    assert in_a + in_sets == len(edges)
+    heavy = _heavy_core(U, V)
+    assert 0 < heavy.size <= core[1]
+    wedges = _Wedges(U, V, heavy, 8)  # slot 7 is a vertex of no edge
+    assert not wedges.repeats
+    in_rows = sum(int(np.bitwise_count(w).sum()) for w in wedges.masks)
+    assert in_rows == sum((u in heavy) + (v in heavy) for u, v in edges)
+    assert in_rows + wedges.keys.size == 2 * len(edges)
     adj = oracles._adj_from_edges(edges)
     queries = [(u, v) for u in range(8) for v in range(u + 1, 8)]
     for u, v in queries:
         want = len(adj.get(u, set()) & adj.get(v, set()))
-        assert sample.count(np.array([u]), np.array([v])) == want
+        assert wedges.count(np.array([u]), np.array([v])) == want
+        assert wedges.count(np.array([v]), np.array([u])) == want
     QU, QV = np.array(queries, dtype=np.int64).T
-    assert sample.count(QU, QV) == sum(
+    assert wedges.count(QU, QV) == sum(
         len(adj.get(u, set()) & adj.get(v, set())) for u, v in queries)
-    assert sample.triangles == oracles.brute_triangles(edges)
+    assert wedges.count(U, V) // 3 == oracles.brute_triangles(edges)
 
 
 @pytest.mark.parametrize("core", HEAVY_CORES[1:])
@@ -470,7 +471,7 @@ def test_one_pass_walk_gets_the_kept_edges_core(monkeypatch):
     cores = []
     walk = estimators._count_and_add
 
-    def spy(adj, chunks, census, core=()):
+    def spy(adj, chunks, census, core):
         cores.append(core)
         return walk(adj, chunks, census, core)
 
@@ -510,9 +511,10 @@ def force_pruning(monkeypatch, pruning):
 
 
 def test_wedges_find_every_shared_neighbour():
-    # a sample on 150 slots with hubs, a repeated edge and an isolated
+    # a sample on 150 slots with hubs, repeated edges and an isolated
     # slot, under cores of 0, 5, 70 (two words a row) and 140 slots: each
-    # pair of slots shares a neighbour exactly when the filter says so
+    # pair of slots shares a neighbour exactly when the filter says so,
+    # and, without the repeats, count gives its common neighbours
     rng = random.Random(3)
     pairs = [(u, v) for u in range(149) for v in range(u + 1, 149)
              if rng.random() < (0.5 if u < 8 else 0.02)]
@@ -520,13 +522,19 @@ def test_wedges_find_every_shared_neighbour():
     KU, KV = np.array(pairs, dtype=np.int64).T
     adj = oracles._adj_from_edges(pairs)
     U, V = np.array([(u, v) for u in range(150) for v in range(u + 1, 150)], dtype=np.int64).T
-    want = [bool(adj.get(u, set()) & adj.get(v, set())) for u, v in zip(U.tolist(), V.tolist())]
+    counts = [len(adj.get(u, set()) & adj.get(v, set())) for u, v in zip(U.tolist(), V.tolist())]
+    want = [c > 0 for c in counts]
     assert 0 < sum(want) < len(want)
     for size in (0, 5, 70, 140):
         core = np.sort(np.array(rng.sample(range(150), size), dtype=np.int64))
-        wedges = estimators._Wedges(KU, KV, core, 150)
+        wedges = _Wedges(KU, KV, core, 150)
+        assert wedges.repeats
         assert wedges(U, V).tolist() == want
         assert wedges(V, U).tolist() == want
+        distinct = _Wedges(KU[:-3], KV[:-3], core, 150)
+        assert not distinct.repeats
+        assert [distinct.count(U[i:i + 1], V[i:i + 1]) for i in range(U.size)] == counts
+        assert distinct.count(V, U) == sum(counts)
 
 
 @pytest.mark.parametrize("chunk", [5, 65536])
@@ -604,7 +612,7 @@ def test_pruned_walk_takes_few_edges(monkeypatch):
                 force_pruning(mp, pruning)
             walk = estimators._count_and_add
 
-            def spy(adj, chunks, census, core=()):
+            def spy(adj, chunks, census, core):
                 chunks = list(chunks)
                 assert len(chunks) == 10
                 walked.append(sum(len(us) for us, _, _ in chunks))
@@ -700,16 +708,23 @@ def test_replays_need_the_chunks_the_coins_were_drawn_on(monkeypatch, later):
         assert count(rechunked_stream(first, first), 0.5, sampler_rng(2), True) == want
 
 
-def test_dense_engine_rejects_a_repeated_kept_edge():
-    # (0, 1) streams by twice and both copies are kept, so the sample
+def test_engines_reject_a_repeated_kept_edge(monkeypatch):
+    # (0, 1) streams by twice in the first stream, (1, 2) in the second,
+    # and both copies are kept: on the first, the dense engine's sample
     # degrees, the trace of C, sum to 8 against 2 * kept = 10; the sets
-    # engine would count that stream differently, which hid the fault
-    edges = [(0, 1), (1, 2), (0, 2), (0, 1), (2, 3), (1, 3)]
-    stream = open_stream(edges, validate=False)
+    # engine's sample holds the pair twice, whose keys it would probe
+    # twice, unchecked (it read 5.33 on the second stream, where a count
+    # that takes (1, 2) once reads 2.67)
+    first = [(0, 1), (1, 2), (0, 2), (0, 1), (2, 3), (1, 3)]
+    second = [(1, 2), (1, 2), (0, 2), (0, 3), (0, 4), (0, 1)]
     assert (sampler_rng(2).random(6) < 0.6).tolist() == [True] * 4 + [False, True]
-    assert _dense_fits(stream, 0.6)
-    with pytest.raises(ValueError, match="edges must be distinct"):
-        alg1_two_pass(stream, 0.6, 2)
+    assert (sampler_rng(3).random(6) < 0.5).tolist()[:2] == [True, True]
+    assert _dense_fits(open_stream(first, validate=False), 0.6)
+    for engine in ("dense", "sets"):
+        force_engine(monkeypatch, engine)
+        for edges, p, seed in ((first, 0.6, 2), (second, 0.5, 3)):
+            with pytest.raises(ValueError, match="edges must be distinct"):
+                alg1_two_pass(open_stream(edges, validate=False), p, seed)
 
 
 # ---------------------------------------------------------------------------
